@@ -1255,28 +1255,16 @@ let compare_against ~replicate path (rows : (string * float) list) : bool =
   !regressed = []
 
 (* ------------------------------------------------------------------ *)
-(* JSON output (hand-rolled: no JSON library in the dependency set)    *)
+(* JSON output (rendered by hand, keys escaped by Support.Sjson)       *)
 (* ------------------------------------------------------------------ *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
 
 let write_json path (rows : (string * float) list) (c : corpus_timings)
     ?replicate ~frontend ~supervisor ~server ~oracle ~ratio_index ~ratio_copy
     () =
   let oc = open_out path in
-  let field k v = Printf.fprintf oc "    \"%s\": %s" (json_escape k) v in
+  let field k v =
+    Printf.fprintf oc "    \"%s\": %s" (Support.Sjson.escape k) v
+  in
   output_string oc "{\n  \"meta\": {\n";
   let meta =
     current_meta

@@ -3,6 +3,8 @@
     through this (one in-flight request per connection, which is also
     the server's pacing unit). *)
 
+module Sjson = Support.Sjson
+
 type t = { fd : Unix.file_descr; src : Frame.src }
 
 let connect path =

@@ -15,20 +15,20 @@ val close : t -> unit
 
 (** {1 Request builders} *)
 
-val ping : id:int -> Sjson.t
-val shutdown : id:int -> Sjson.t
+val ping : id:int -> Support.Sjson.t
+val shutdown : id:int -> Support.Sjson.t
 
-val stats : id:int -> Sjson.t
+val stats : id:int -> Support.Sjson.t
 (** Live daemon counters + queue/worker gauges; answered inline. *)
 
-val health : id:int -> Sjson.t
+val health : id:int -> Support.Sjson.t
 (** State, pid, protocol version, uptime, workers; answered inline. *)
 
-val metrics : id:int -> ?format:string -> unit -> Sjson.t
+val metrics : id:int -> ?format:string -> unit -> Support.Sjson.t
 (** A {!Support.Metrics} snapshot; [format] is ["json"] (default) or
     ["prometheus"]. *)
 
-val flight : id:int -> Sjson.t
+val flight : id:int -> Support.Sjson.t
 (** The {!Support.Flight} black box + the bounded access log. *)
 
 val check :
@@ -39,10 +39,10 @@ val check :
   ?keep_going:bool ->
   file:string ->
   unit ->
-  Sjson.t
+  Support.Sjson.t
 
-val detect : id:int -> ?deadline_ms:int -> ?fuel:int -> unit -> Sjson.t
-val study : id:int -> ?deadline_ms:int -> ?fuel:int -> unit -> Sjson.t
+val detect : id:int -> ?deadline_ms:int -> ?fuel:int -> unit -> Support.Sjson.t
+val study : id:int -> ?deadline_ms:int -> ?fuel:int -> unit -> Support.Sjson.t
 
 (** {1 Round trips} *)
 
@@ -59,6 +59,6 @@ val roundtrip_raw :
     waiting forever for the rest, so the call always terminates, at
     the cost of making the connection one-shot. *)
 
-val rpc : t -> Sjson.t -> Sjson.t
+val rpc : t -> Support.Sjson.t -> Support.Sjson.t
 (** Send one request frame, wait for its response frame.
     @raise Server_gone if the connection dies mid-round-trip. *)

@@ -28,6 +28,8 @@
       {!Support.Journal} so a restarted server replays them
       byte-identically without recomputing. *)
 
+module Sjson = Support.Sjson
+
 exception Kill_worker
 (** Fault injection: a {!config.before_handle} hook raises this to
     simulate a worker domain dying mid-request. It deliberately
@@ -184,10 +186,7 @@ type t = {
   (* bounded access log: a ring of structured per-request lines, under
      its own lock so connection threads never contend with admission *)
   access_m : Mutex.t;
-  access_buf : Sjson.t option array;
-  mutable access_start : int;
-  mutable access_len : int;
-  mutable access_dropped : int;
+  access : Sjson.t Support.Ring.t;
   (* admission queue + lifecycle, all under [qm] *)
   qm : Mutex.t;
   q_nonempty : Condition.t;
@@ -273,36 +272,13 @@ let access_line ~req_id ~(id : Sjson.t) ~op ~queue_ns ~attempts
 
 let log_access t ~req_id ~id ~op ~queue_ns ~attempts ~resp ~wall_ns : unit =
   let line = access_line ~req_id ~id ~op ~queue_ns ~attempts ~resp ~wall_ns in
-  Mutex.lock t.access_m;
-  let cap = Array.length t.access_buf in
-  if t.access_len < cap then begin
-    t.access_buf.((t.access_start + t.access_len) mod cap) <- Some line;
-    t.access_len <- t.access_len + 1
-  end
-  else begin
-    t.access_buf.(t.access_start) <- Some line;
-    t.access_start <- (t.access_start + 1) mod cap;
-    t.access_dropped <- t.access_dropped + 1
-  end;
-  Mutex.unlock t.access_m
+  Mutex.protect t.access_m (fun () -> Support.Ring.push t.access line)
 
 let access_log t : Sjson.t list =
-  Mutex.lock t.access_m;
-  let cap = Array.length t.access_buf in
-  let out = ref [] in
-  for i = t.access_len - 1 downto 0 do
-    match t.access_buf.((t.access_start + i) mod cap) with
-    | Some l -> out := l :: !out
-    | None -> ()
-  done;
-  Mutex.unlock t.access_m;
-  !out
+  Mutex.protect t.access_m (fun () -> Support.Ring.to_list t.access)
 
 let access_dropped t : int =
-  Mutex.lock t.access_m;
-  let d = t.access_dropped in
-  Mutex.unlock t.access_m;
-  d
+  Mutex.protect t.access_m (fun () -> Support.Ring.dropped t.access)
 
 (* ---------------- journal keys & replay ------------------------------ *)
 
@@ -923,10 +899,7 @@ let start (cfg : config) : t =
       listen_fd;
       req_ids = Atomic.make 1;
       access_m = Mutex.create ();
-      access_buf = Array.make (max 16 cfg.access_log_cap) None;
-      access_start = 0;
-      access_len = 0;
-      access_dropped = 0;
+      access = Support.Ring.create (max 16 cfg.access_log_cap);
       qm = Mutex.create ();
       q_nonempty = Condition.create ();
       queue = Queue.create ();

@@ -91,7 +91,7 @@ val socket_path : t -> string
 val uptime_ms : t -> int
 (** Milliseconds since {!start}, on the monotonic clock. *)
 
-val access_log : t -> Sjson.t list
+val access_log : t -> Support.Sjson.t list
 (** The bounded access log, oldest first: one object per answered
     request — [req] (server request id), [id] (client id, echoed),
     [op], [queue_ns], [attempts], [status], [code], [wall_ns],

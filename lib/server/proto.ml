@@ -7,6 +7,8 @@
     error-shaped (a stable diagnostic code from [Support.Diag] plus a
     message). See docs/SERVER.md for the wire grammar. *)
 
+module Sjson = Support.Sjson
+
 (* Bumped when the wire protocol grows ops or response fields; echoed
    by [ping] / [health] so probes can detect daemon/client skew. *)
 let version = 2

@@ -23,7 +23,7 @@ type cmd =
           answered inline *)
 
 type request = {
-  id : Sjson.t;  (** echoed verbatim in the response; any JSON value *)
+  id : Support.Sjson.t;  (** echoed verbatim in the response; any JSON value *)
   cmd : cmd;
   deadline_ms : int option;  (** per-request wall-clock budget *)
   fuel : int option;  (** per-request fixpoint iteration budget *)
@@ -31,7 +31,7 @@ type request = {
 
 val cmd_name : cmd -> string
 
-val parse_request : Sjson.t -> (request, string) result
+val parse_request : Support.Sjson.t -> (request, string) result
 
 (** What a handler produced: the offline CLI's observable behaviour,
     reified. [out]/[err] are the exact bytes the CLI would write, and
@@ -41,7 +41,7 @@ type outcome = { out : string; err : string; exit_code : int }
 val status_of_exit : int -> string
 (** ["ok"], ["findings"], ["degraded"], or ["fatal"]. *)
 
-val ok_response : ?req:int -> id:Sjson.t -> outcome -> Sjson.t
+val ok_response : ?req:int -> id:Support.Sjson.t -> outcome -> Support.Sjson.t
 (** [?req] is the server-side request id, rendered as a ["req"] field
     right after ["id"]; the daemon stamps it on every response so a
     reply can be joined to its access-log line, spans, and journal
@@ -53,7 +53,11 @@ val error_status : Support.Diag.code -> string
     attempted — safe to resend later), ["error"] otherwise. *)
 
 val error_response :
-  ?req:int -> id:Sjson.t -> code:Support.Diag.code -> string -> Sjson.t
+  ?req:int ->
+  id:Support.Sjson.t ->
+  code:Support.Diag.code ->
+  string ->
+  Support.Sjson.t
 
 val journal_key : request -> handler_domains:int -> string
 (** Stable digest of everything that determines a request's response

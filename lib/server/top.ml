@@ -5,6 +5,8 @@
     and latency percentiles, and renders either a refreshing terminal
     screen or one JSON object per poll ([--json]). *)
 
+module Sjson = Support.Sjson
+
 let num n = Sjson.Num n
 
 (* ---------------- histogram decoding --------------------------------- *)

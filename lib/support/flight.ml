@@ -21,134 +21,51 @@ type event = {
   f_fields : (string * string) list;
 }
 
-type shard = {
-  dom : int;
-  mutable buf : event option array;  (** ring *)
-  mutable start : int;
-  mutable len : int;
-  mutable dropped : int;
-}
+let ring_capacity = Atomic.make 8192
 
-let default_capacity = 8192
-let ring_capacity = Atomic.make default_capacity
-
-let registry_lock = Mutex.create ()
-let shards : shard list ref = ref [] (* newest first *)
-let next_dom = Atomic.make 0
-
-let shard_key : shard Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let s =
-        {
-          dom = Atomic.fetch_and_add next_dom 1;
-          buf = Array.make (Atomic.get ring_capacity) None;
-          start = 0;
-          len = 0;
-          dropped = 0;
-        }
-      in
-      Mutex.lock registry_lock;
-      shards := s :: !shards;
-      Mutex.unlock registry_lock;
-      s)
-
-let my_shard () = Domain.DLS.get shard_key
+let shards : event Ring.t Per_domain.t =
+  Per_domain.create (fun () -> Ring.create (Atomic.get ring_capacity))
 
 let set_ring_capacity n =
   let n = max 16 n in
   Atomic.set ring_capacity n;
   (* the calling domain owns its shard, so resizing it in place is
      race-free; other domains' rings keep their capacity *)
-  let s = my_shard () in
-  s.buf <- Array.make n None;
-  s.start <- 0;
-  s.len <- 0;
-  s.dropped <- 0
-
-let push (s : shard) (ev : event) =
-  let cap = Array.length s.buf in
-  if s.len < cap then begin
-    s.buf.((s.start + s.len) mod cap) <- Some ev;
-    s.len <- s.len + 1
-  end
-  else begin
-    s.buf.(s.start) <- Some ev;
-    s.start <- (s.start + 1) mod cap;
-    s.dropped <- s.dropped + 1
-  end
+  Ring.resize (Per_domain.get shards) n
 
 let record ?(fields = []) kind =
   if Atomic.get enabled_flag then
-    push (my_shard ()) { f_ts = now_ns (); f_kind = kind; f_fields = fields }
-
-let snapshot_shards () =
-  Mutex.lock registry_lock;
-  let shs = !shards in
-  Mutex.unlock registry_lock;
-  List.sort (fun (a : shard) b -> compare a.dom b.dom) shs
+    Ring.push (Per_domain.get shards)
+      { f_ts = now_ns (); f_kind = kind; f_fields = fields }
 
 let events_total () =
-  List.fold_left (fun acc (s : shard) -> acc + s.len) 0 (snapshot_shards ())
+  List.fold_left (fun acc r -> acc + Ring.length r) 0 (Per_domain.all shards)
 
 let dropped_total () =
-  List.fold_left (fun acc (s : shard) -> acc + s.dropped) 0 (snapshot_shards ())
+  List.fold_left (fun acc r -> acc + Ring.dropped r) 0 (Per_domain.all shards)
 
-let reset () =
-  Mutex.lock registry_lock;
-  List.iter
-    (fun (s : shard) ->
-      Array.fill s.buf 0 (Array.length s.buf) None;
-      s.start <- 0;
-      s.len <- 0;
-      s.dropped <- 0)
-    !shards;
-  Mutex.unlock registry_lock
+let reset () = List.iter Ring.clear (Per_domain.all shards)
 
 (* ------------------------------------------------------------------ *)
 (* Dump                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let shard_events (s : shard) : event list =
-  let cap = Array.length s.buf in
-  let out = ref [] in
-  for i = s.len - 1 downto 0 do
-    match s.buf.((s.start + i) mod cap) with
-    | Some ev -> out := ev :: !out
-    | None -> ()
-  done;
-  !out
-
 let event_line (dom : int) (ev : event) : string =
   let b = Buffer.create 96 in
   Printf.bprintf b "{\"ts\":%Ld,\"dom\":%d,\"kind\":\"%s\"" ev.f_ts dom
-    (json_escape ev.f_kind);
+    (Sjson.escape ev.f_kind);
   List.iter
     (fun (k, v) ->
-      Printf.bprintf b ",\"%s\":\"%s\"" (json_escape k) (json_escape v))
+      Printf.bprintf b ",\"%s\":\"%s\"" (Sjson.escape k) (Sjson.escape v))
     ev.f_fields;
   Buffer.add_string b "}";
   Buffer.contents b
 
 let dump_jsonl () : string =
-  let shs = snapshot_shards () in
+  let shs = Per_domain.snapshot shards in
   let events =
     List.concat_map
-      (fun (s : shard) ->
-        List.map (fun ev -> (s.dom, ev)) (shard_events s))
+      (fun (dom, r) -> List.map (fun ev -> (dom, ev)) (Ring.to_list r))
       shs
   in
   (* stable sort: ties on ts keep per-shard recording order *)
@@ -161,9 +78,7 @@ let dump_jsonl () : string =
       events
   in
   let n = List.length events in
-  let dropped =
-    List.fold_left (fun acc (s : shard) -> acc + s.dropped) 0 shs
-  in
+  let dropped = List.fold_left (fun acc (_, r) -> acc + Ring.dropped r) 0 shs in
   let b = Buffer.create 4096 in
   Printf.bprintf b
     "{\"kind\":\"flight.meta\",\"version\":1,\"pid\":%d,\"events\":%d,\"dropped\":%d}\n"

@@ -11,8 +11,8 @@
     Events are wide: one [kind] string plus free-form [(key, value)]
     string fields, all flattened into one JSON object per line on
     dump. Each domain records into its own fixed-capacity ring
-    (default 8192 events); a full ring overwrites the oldest event and
-    counts the drop, exactly like {!Trace}'s rings, so the dump always
+    (default 8192 events), a {!Ring} like {!Trace}'s: a full ring
+    overwrites the oldest event and counts the drop, so the dump always
     holds the *most recent* window with exact loss accounting.
 
     The "black box": point {!set_blackbox} at a path and the dump is

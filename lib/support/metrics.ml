@@ -1,10 +1,10 @@
 (** Process-wide metrics registry with per-domain shards.
 
-    Shape: a global (mutex-guarded) list of families and a global list
-    of shards, one shard per domain that ever recorded. A shard is
-    only ever written by its owning domain, so recording takes no
-    lock; reads merge every shard under the registry mutex. Reads that
-    race a recording domain may see a value one update stale — the
+    Shape: a global (mutex-guarded) list of families and a
+    {!Per_domain} registry of shards, one per domain that ever
+    recorded. A shard is only ever written by its owning domain, so
+    recording takes no lock; reads merge every shard. Reads that race
+    a recording domain may see a value one update stale — the
     deterministic paths (tests, post-join exports) read after the
     workers joined, which [Domain.join] orders properly. *)
 
@@ -50,22 +50,17 @@ type hist_cell = {
 
 type cell = Scalar of float ref | Hist of hist_cell
 
-type shard = { tbl : ((int * string list), cell) Hashtbl.t }
+(* keyed by (family id, label values) *)
+type shard = (int * string list, cell) Hashtbl.t
 
 let registry_lock = Mutex.create ()
 let families : family list ref = ref [] (* newest first *)
 let next_family_id = ref 0
-let shards : shard list ref = ref [] (* newest first *)
 
-let shard_key : shard Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let s = { tbl = Hashtbl.create 64 } in
-      Mutex.lock registry_lock;
-      shards := s :: !shards;
-      Mutex.unlock registry_lock;
-      s)
+let shards : shard Per_domain.t =
+  Per_domain.create (fun () -> Hashtbl.create 64)
 
-let my_shard () = Domain.DLS.get shard_key
+let my_shard () = Per_domain.get shards
 
 let register kind ?(labels = []) ~help name : family =
   Mutex.lock registry_lock;
@@ -99,12 +94,12 @@ let histogram ?buckets ?labels ~help name =
 (* ------------------------------------------------------------------ *)
 
 let scalar_cell (s : shard) key =
-  match Hashtbl.find_opt s.tbl key with
+  match Hashtbl.find_opt s key with
   | Some (Scalar r) -> r
   | Some (Hist _) -> invalid_arg "Metrics: kind mismatch"
   | None ->
       let r = ref 0. in
-      Hashtbl.replace s.tbl key (Scalar r);
+      Hashtbl.replace s key (Scalar r);
       r
 
 let incr ?(by = 1.) ?(labels = []) (c : counter) =
@@ -126,7 +121,7 @@ let observe ?(labels = []) (h : histogram) v =
     let s = my_shard () in
     let key = (h.id, labels) in
     let hc =
-      match Hashtbl.find_opt s.tbl key with
+      match Hashtbl.find_opt s key with
       | Some (Hist hc) -> hc
       | Some (Scalar _) -> invalid_arg "Metrics: kind mismatch"
       | None ->
@@ -137,7 +132,7 @@ let observe ?(labels = []) (h : histogram) v =
               hc_count = 0;
             }
           in
-          Hashtbl.replace s.tbl key (Hist hc);
+          Hashtbl.replace s key (Hist hc);
           hc
     in
     let n = Array.length bounds in
@@ -156,9 +151,10 @@ let observe ?(labels = []) (h : histogram) v =
 
 let snapshot () : family list * shard list =
   Mutex.lock registry_lock;
-  let fams = List.rev !families and shs = !shards in
+  let fams = !families in
   Mutex.unlock registry_lock;
-  (List.sort (fun a b -> String.compare a.name b.name) fams, shs)
+  ( List.sort (fun a b -> String.compare a.name b.name) fams,
+    Per_domain.all shards )
 
 type merged = MScalar of float | MHist of hist_cell
 
@@ -196,7 +192,7 @@ let merged_rows (f : family) (shs : shard list) :
                        hc_count = m.hc_count + hc.hc_count;
                      })
             | _ -> () (* kind mismatch: impossible per family *))
-        s.tbl)
+        s)
     shs;
   List.sort
     (fun (a, _) (b, _) -> compare a b)
@@ -206,7 +202,7 @@ let counter_value ?(labels = []) (c : counter) : float =
   let _, shs = snapshot () in
   List.fold_left
     (fun acc (s : shard) ->
-      match Hashtbl.find_opt s.tbl (c.id, labels) with
+      match Hashtbl.find_opt s (c.id, labels) with
       | Some (Scalar r) -> acc +. !r
       | _ -> acc)
     0. shs
@@ -218,14 +214,11 @@ let read_counter ?(labels = []) name : float =
   match f with Some f -> counter_value ~labels f | None -> 0.
 
 let domain_counter_value ?(labels = []) (c : counter) : float =
-  match Hashtbl.find_opt (my_shard ()).tbl (c.id, labels) with
+  match Hashtbl.find_opt (my_shard ()) (c.id, labels) with
   | Some (Scalar r) -> !r
   | _ -> 0.
 
-let reset () =
-  Mutex.lock registry_lock;
-  List.iter (fun (s : shard) -> Hashtbl.reset s.tbl) !shards;
-  Mutex.unlock registry_lock
+let reset () = List.iter Hashtbl.reset (Per_domain.all shards)
 
 (* ------------------------------------------------------------------ *)
 (* Export                                                              *)
@@ -314,20 +307,6 @@ let export_prometheus () : string =
     fams;
   Buffer.contents b
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let export_json () : string =
   let fams, shs = snapshot () in
   let b = Buffer.create 4096 in
@@ -342,7 +321,7 @@ let export_json () : string =
           first_f := false;
           Printf.bprintf b
             "\n{\"name\":\"%s\",\"type\":\"%s\",\"help\":\"%s\",\"samples\":["
-            (json_escape f.name) (kind_name f.kind) (json_escape f.help);
+            (Sjson.escape f.name) (kind_name f.kind) (Sjson.escape f.help);
           List.iteri
             (fun i (values, m) ->
               if i > 0 then Buffer.add_string b ",";
@@ -350,8 +329,8 @@ let export_json () : string =
                 String.concat ","
                   (List.map2
                      (fun n v ->
-                       Printf.sprintf "\"%s\":\"%s\"" (json_escape n)
-                         (json_escape v))
+                       Printf.sprintf "\"%s\":\"%s\"" (Sjson.escape n)
+                         (Sjson.escape v))
                      f.label_names values)
               in
               match (m, f.kind) with

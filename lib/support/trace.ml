@@ -30,53 +30,19 @@ type event = {
 
 type agg_cell = { mutable a_count : int; mutable a_total : int64 }
 
-type shard = {
-  tid : int;
-  buf : event option array;  (** ring *)
-  mutable start : int;
-  mutable len : int;
-  mutable dropped : int;
-  aggs : (string, agg_cell) Hashtbl.t;
-}
+type shard = { ring : event Ring.t; aggs : (string, agg_cell) Hashtbl.t }
 
 let ring_capacity = Atomic.make 32768
 let set_ring_capacity n = Atomic.set ring_capacity (max 16 n)
 
-let registry_lock = Mutex.create ()
-let shards : shard list ref = ref [] (* newest first *)
-let next_tid = Atomic.make 0
+let shards : shard Per_domain.t =
+  Per_domain.create (fun () ->
+      {
+        ring = Ring.create (Atomic.get ring_capacity);
+        aggs = Hashtbl.create 32;
+      })
 
-let shard_key : shard Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let s =
-        {
-          tid = Atomic.fetch_and_add next_tid 1;
-          buf = Array.make (Atomic.get ring_capacity) None;
-          start = 0;
-          len = 0;
-          dropped = 0;
-          aggs = Hashtbl.create 32;
-        }
-      in
-      Mutex.lock registry_lock;
-      shards := s :: !shards;
-      Mutex.unlock registry_lock;
-      s)
-
-let my_shard () = Domain.DLS.get shard_key
-
-let record (s : shard) (ev : event) =
-  let cap = Array.length s.buf in
-  if s.len < cap then begin
-    s.buf.((s.start + s.len) mod cap) <- Some ev;
-    s.len <- s.len + 1
-  end
-  else begin
-    (* full: overwrite the oldest *)
-    s.buf.(s.start) <- Some ev;
-    s.start <- (s.start + 1) mod cap;
-    s.dropped <- s.dropped + 1
-  end
+let my_shard () = Per_domain.get shards
 
 let bump_agg (s : shard) name dur =
   match Hashtbl.find_opt s.aggs name with
@@ -95,7 +61,7 @@ let span_hist =
 let close_span (s : shard) ~cat ~args name t0 =
   let t1 = now_ns () in
   let dur = Int64.max 0L (Int64.sub t1 t0) in
-  record s
+  Ring.push s.ring
     { ev_name = name; ev_cat = cat; ev_ph = 'X'; ev_ts = t0; ev_dur = dur;
       ev_args = args };
   bump_agg s name dur;
@@ -121,45 +87,25 @@ let with_span ?(cat = "app") ?(args = []) name f =
 let instant ?(cat = "app") ?(args = []) name =
   if Atomic.get enabled_flag then
     let s = my_shard () in
-    record s
+    Ring.push s.ring
       { ev_name = name; ev_cat = cat; ev_ph = 'i'; ev_ts = now_ns ();
         ev_dur = 0L; ev_args = args }
 
 let dropped_total () =
-  Mutex.lock registry_lock;
-  let shs = !shards in
-  Mutex.unlock registry_lock;
-  List.fold_left (fun acc (s : shard) -> acc + s.dropped) 0 shs
+  List.fold_left
+    (fun acc (s : shard) -> acc + Ring.dropped s.ring)
+    0 (Per_domain.all shards)
 
 let reset () =
-  Mutex.lock registry_lock;
   List.iter
     (fun (s : shard) ->
-      Array.fill s.buf 0 (Array.length s.buf) None;
-      s.start <- 0;
-      s.len <- 0;
-      s.dropped <- 0;
+      Ring.clear s.ring;
       Hashtbl.reset s.aggs)
-    !shards;
-  Mutex.unlock registry_lock
+    (Per_domain.all shards)
 
 (* ------------------------------------------------------------------ *)
 (* Export                                                              *)
 (* ------------------------------------------------------------------ *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
 
 (* chrome trace timestamps are microseconds; keep nanosecond precision
    as three decimals so the injected-clock exports stay exact *)
@@ -174,7 +120,8 @@ let event_line (tid : int) (ev : event) : string =
         ^ String.concat ","
             (List.map
                (fun (k, v) ->
-                 Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
+                 Printf.sprintf "\"%s\":\"%s\"" (Sjson.escape k)
+                   (Sjson.escape v))
                l)
         ^ "}"
   in
@@ -185,26 +132,15 @@ let event_line (tid : int) (ev : event) : string =
   let scope = if ev.ev_ph = 'i' then ",\"s\":\"t\"" else "" in
   Printf.sprintf
     "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%c\",\"pid\":1,\"tid\":%d,\"ts\":%s%s%s%s}"
-    (json_escape ev.ev_name) (json_escape ev.ev_cat) ev.ev_ph tid
+    (Sjson.escape ev.ev_name) (Sjson.escape ev.ev_cat) ev.ev_ph tid
     (ts_us ev.ev_ts) dur scope args
 
-let shard_events (s : shard) : event list =
-  let cap = Array.length s.buf in
-  let out = ref [] in
-  for i = s.len - 1 downto 0 do
-    match s.buf.((s.start + i) mod cap) with
-    | Some ev -> out := ev :: !out
-    | None -> ()
-  done;
-  !out
-
 let export_chrome () : string =
-  Mutex.lock registry_lock;
-  let shs = List.rev !shards in
-  Mutex.unlock registry_lock;
   let shs =
-    List.sort (fun (a : shard) b -> compare a.tid b.tid)
-      (List.filter (fun (s : shard) -> s.len > 0 || s.dropped > 0) shs)
+    List.filter
+      (fun (_, (s : shard)) ->
+        Ring.length s.ring > 0 || Ring.dropped s.ring > 0)
+      (Per_domain.snapshot shards)
   in
   let b = Buffer.create 8192 in
   Buffer.add_string b "[";
@@ -215,23 +151,23 @@ let export_chrome () : string =
     Buffer.add_string b line
   in
   List.iter
-    (fun (s : shard) ->
-      let events = shard_events s in
-      (if s.dropped > 0 then
+    (fun (tid, (s : shard)) ->
+      let events = Ring.to_list s.ring in
+      (if Ring.dropped s.ring > 0 then
          let ts =
            match events with ev :: _ -> ev.ev_ts | [] -> 0L
          in
          emit
-           (event_line s.tid
+           (event_line tid
               {
                 ev_name = "trace_dropped";
                 ev_cat = "trace";
                 ev_ph = 'i';
                 ev_ts = ts;
                 ev_dur = 0L;
-                ev_args = [ ("dropped", string_of_int s.dropped) ];
+                ev_args = [ ("dropped", string_of_int (Ring.dropped s.ring)) ];
               }));
-      List.iter (fun ev -> emit (event_line s.tid ev)) events)
+      List.iter (fun ev -> emit (event_line tid ev)) events)
     shs;
   Buffer.add_string b "\n]\n";
   Buffer.contents b
@@ -243,9 +179,6 @@ let export_chrome () : string =
 type agg = { agg_name : string; agg_count : int; agg_total_ns : int64 }
 
 let aggregates () : agg list =
-  Mutex.lock registry_lock;
-  let shs = !shards in
-  Mutex.unlock registry_lock;
   let acc : (string, agg_cell) Hashtbl.t = Hashtbl.create 32 in
   List.iter
     (fun (s : shard) ->
@@ -259,7 +192,7 @@ let aggregates () : agg list =
               Hashtbl.replace acc name
                 { a_count = c.a_count; a_total = c.a_total })
         s.aggs)
-    shs;
+    (Per_domain.all shards);
   List.sort
     (fun a b ->
       match Int64.compare b.agg_total_ns a.agg_total_ns with

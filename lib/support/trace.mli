@@ -1,5 +1,5 @@
 (** Span-based structured tracing over the same monotonic clock
-    {!Deadline} uses, recorded into per-domain ring buffers and
+    {!Deadline} uses, recorded into per-domain {!Ring}s and
     exported as Chrome trace-event JSON (loadable in
     [chrome://tracing] and Perfetto).
 

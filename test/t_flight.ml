@@ -4,7 +4,7 @@
    leave a dump on disk when a serving process is killed mid-flight. *)
 
 module Flight = Support.Flight
-module Sjson = Server.Sjson
+module Sjson = Support.Sjson
 module Client = Server.Client
 
 let case name f = Alcotest.test_case name `Quick f

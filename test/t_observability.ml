@@ -240,39 +240,128 @@ let tracecat_accepts =
 
 let tracecat_rejects =
   case "tracecat rejects malformed and overlapping traces" (fun () ->
-      let invalid text =
-        match Tracecat_lib.validate text with
-        | Ok _ -> false
-        | Error _ -> true
+      let span name ts dur =
+        Printf.sprintf
+          "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":0,\"ts\":%s,\"dur\":%s}"
+          name ts dur
       in
-      Alcotest.(check bool) "not JSON" true (invalid "wibble");
+      let trace events = "[\n" ^ String.concat ",\n" events ^ "\n]" in
+      let deep = String.make 200 '[' ^ String.make 200 ']' in
+      (* (what, input, expected error prefix); the last three were
+         accepted by tracecat's former lax parser *)
+      List.iter
+        (fun (what, text, prefix) ->
+          match Tracecat_lib.validate text with
+          | Ok _ -> Alcotest.failf "%s: accepted" what
+          | Error msg ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: %S starts with %S" what msg prefix)
+                true
+                (String.starts_with ~prefix msg))
+        [
+          ("not JSON", "wibble", "not valid JSON: ");
+          ( "not an array",
+            "{\"name\":\"x\"}",
+            "top-level value is not an array" );
+          ( "missing fields",
+            trace [ "{\"name\":\"a\",\"ph\":\"X\",\"ts\":1.0}" ],
+            "event 0: missing" );
+          ( "negative duration",
+            trace [ span "a" "1.0" "-2.0" ],
+            "event 0: negative dur" );
+          ( "partially overlapping spans",
+            trace [ span "a" "0.0" "10.0"; span "b" "5.0" "10.0" ],
+            "thread 1.0: span" );
+          ( "trailing garbage after the array",
+            trace [ span "a" "0.0" "1.0" ] ^ "\n]",
+            "not valid JSON: " );
+          ( "invalid UTF-8 inside a string",
+            trace [ span "a\xff" "0.0" "1.0" ],
+            "not valid JSON: " );
+          ( "nesting deeper than 128",
+            trace
+              [
+                "{\"name\":\"a\",\"ph\":\"i\",\"pid\":1,\"tid\":0,\"ts\":1.0,\
+                 \"args\":{\"x\":" ^ deep ^ "}}";
+              ],
+            "not valid JSON: " );
+        ];
       Alcotest.(check bool)
-        "not an array" true
-        (invalid "{\"name\":\"x\"}");
-      Alcotest.(check bool)
-        "missing fields" true
-        (invalid "[\n{\"name\":\"a\",\"ph\":\"X\",\"ts\":1.0}\n]");
-      Alcotest.(check bool)
-        "negative duration" true
-        (invalid
-           "[\n\
-            {\"name\":\"a\",\"ph\":\"X\",\"pid\":1,\"tid\":0,\"ts\":1.0,\"dur\":-2.0}\n\
-            ]");
-      Alcotest.(check bool)
-        "partially overlapping spans" true
-        (invalid
-           "[\n\
-            {\"name\":\"a\",\"ph\":\"X\",\"pid\":1,\"tid\":0,\"ts\":0.0,\"dur\":10.0},\n\
-            {\"name\":\"b\",\"ph\":\"X\",\"pid\":1,\"tid\":0,\"ts\":5.0,\"dur\":10.0}\n\
-            ]");
-      Alcotest.(check bool)
-        "properly nested spans pass" false
-        (invalid
-           "[\n\
-            {\"name\":\"a\",\"ph\":\"X\",\"pid\":1,\"tid\":0,\"ts\":0.0,\"dur\":10.0},\n\
-            {\"name\":\"b\",\"ph\":\"X\",\"pid\":1,\"tid\":0,\"ts\":2.0,\"dur\":3.0},\n\
-            {\"name\":\"c\",\"ph\":\"X\",\"pid\":1,\"tid\":0,\"ts\":6.0,\"dur\":4.0}\n\
-            ]"))
+        "properly nested spans pass" true
+        (Result.is_ok
+           (Tracecat_lib.validate
+              (trace
+                 [
+                   span "a" "0.0" "10.0";
+                   span "b" "2.0" "3.0";
+                   span "c" "6.0" "4.0";
+                 ]))))
+
+(* ---------------- one escaper across the exporters ----------------- *)
+
+(* Every exporter escapes through Support.Sjson, so a string with each
+   class of awkward byte decodes back exactly from the Chrome trace,
+   the flight dump and the JSON metrics snapshot. *)
+let escaping_parity =
+  case "trace, flight and metrics JSON decode awkward strings exactly"
+    (fun () ->
+      let nasty = "q\"b\\s\nn\rr\tt\001x" in
+      let find what pred l =
+        match List.find_opt pred l with
+        | Some v -> v
+        | None -> Alcotest.failf "%s: not found" what
+      in
+      let str what expected = function
+        | Some s -> Alcotest.(check string) what expected s
+        | None -> Alcotest.failf "%s: missing" what
+      in
+      let module J = Support.Sjson in
+      with_tracing (fun () ->
+          Support.Trace.reset ();
+          Support.Trace.with_span ~args:[ (nasty, nasty) ] nasty ignore;
+          match J.parse (Support.Trace.export_chrome ()) with
+          | J.List evs ->
+              let ev =
+                find "trace event"
+                  (fun e -> J.str_member "name" e = Some nasty)
+                  evs
+              in
+              str "trace arg"
+                nasty
+                (Option.bind (J.member "args" ev) (J.str_member nasty))
+          | _ -> Alcotest.fail "trace is not an array");
+      Support.Flight.record ~fields:[ (nasty, nasty) ] "t_obs.escape";
+      let lines =
+        String.split_on_char '\n' (Support.Flight.dump_jsonl ())
+        |> List.filter (( <> ) "")
+        |> List.map J.parse
+      in
+      str "flight field" nasty
+        (J.str_member nasty
+           (find "flight event"
+              (fun l -> J.str_member "kind" l = Some "t_obs.escape")
+              lines));
+      with_metrics (fun () ->
+          Support.Metrics.reset ();
+          let c =
+            Support.Metrics.counter ~labels:[ "k" ] ~help:"Test."
+              "t_obs_escape_total"
+          in
+          Support.Metrics.incr c ~labels:[ nasty ];
+          let snapshot = J.parse (Support.Metrics.export_json ()) in
+          match J.member "metrics" snapshot with
+          | Some (J.List fams) -> (
+              let fam =
+                find "metric family"
+                  (fun f -> J.str_member "name" f = Some "t_obs_escape_total")
+                  fams
+              in
+              match J.member "samples" fam with
+              | Some (J.List [ sample ]) ->
+                  str "metric label" nasty
+                    (Option.bind (J.member "labels" sample) (J.str_member "k"))
+              | _ -> Alcotest.fail "expected one sample")
+          | _ -> Alcotest.fail "metrics snapshot has no family list"))
 
 (* ---------------- oracle spans and counters -------------------------- *)
 
@@ -372,6 +461,45 @@ let ring_drop_accounting =
           Alcotest.(check int) "reset zeroes the drop counter" 0
             (Support.Trace.dropped_total ())))
 
+(* ---------------- the shared ring ---------------------------------- *)
+
+let ring_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300
+       ~name:"ring keeps the newest min(n, cap) pushes and counts the rest"
+       QCheck.(triple (int_range 1 64) (int_range 0 300) (int_range 1 64))
+       (fun (cap, n, cap') ->
+         let module R = Support.Ring in
+         let r = R.create cap in
+         for i = 1 to n do
+           R.push r i
+         done;
+         let kept = min n cap in
+         let window_ok =
+           R.to_list r = List.init kept (fun k -> n - kept + 1 + k)
+           && R.length r = kept
+           && R.dropped r = max 0 (n - cap)
+         in
+         (* a cleared ring keeps its capacity, a resized one takes the
+            new one: one push past capacity drops exactly one *)
+         let refill_ok c =
+           for i = 0 to c do
+             R.push r i
+           done;
+           R.to_list r = List.init c (fun k -> k + 1) && R.dropped r = 1
+         in
+         R.clear r;
+         let clear_ok =
+           R.to_list r = [] && R.length r = 0 && R.dropped r = 0
+           && refill_ok cap
+         in
+         R.resize r cap';
+         let resize_ok =
+           R.to_list r = [] && R.length r = 0 && R.dropped r = 0
+           && refill_ok cap'
+         in
+         window_ok && clear_ok && resize_ok))
+
 let suite =
   [
     disabled_noop;
@@ -381,7 +509,9 @@ let suite =
     findings_unchanged;
     tracecat_accepts;
     tracecat_rejects;
+    escaping_parity;
     oracle_smoke;
     profile_aggregates;
     ring_drop_accounting;
+    ring_model;
   ]

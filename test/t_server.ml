@@ -4,7 +4,7 @@
    graceful drain, and crash-safe journal replay — all against live
    in-process servers on temp sockets. *)
 
-module Sjson = Server.Sjson
+module Sjson = Support.Sjson
 module Frame = Server.Frame
 module Proto = Server.Proto
 module Handlers = Server.Handlers
@@ -604,9 +604,17 @@ let lifecycle_cases =
         let d = Daemon.start (Daemon.default_config ~socket_path:sock) in
         let resp = rpc_once d (Client.shutdown ~id:1) in
         Alcotest.(check string) "shutdown acknowledged" "ok" (status resp);
-        Alcotest.(check bool)
-          "drain requested" true
-          (Daemon.shutdown_requested d);
+        (* the daemon answers before it raises the flag (the drain may
+           sever the acknowledging connection), so poll for up to 2 s *)
+        let rec requested polls =
+          Daemon.shutdown_requested d
+          || polls > 0
+             && begin
+                  Thread.delay 0.01;
+                  requested (polls - 1)
+                end
+        in
+        Alcotest.(check bool) "drain requested" true (requested 200);
         (* the CLI's serve loop would call stop; do it ourselves *)
         Daemon.stop d;
         Alcotest.(check bool) "stopped" true (Daemon.stopped d);

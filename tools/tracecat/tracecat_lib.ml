@@ -1,182 +1,13 @@
 (** Chrome trace-event file checker: parse, validate, summarize.
 
     [rustudy --trace-out] writes trace-event JSON; this library (used
-    by the [tracecat] executable and the observability tests) re-reads
-    such files with a small hand-rolled JSON parser — the toolchain has
-    no JSON library — and checks the structural invariants the
-    exporter promises: every event is well-formed, durations are
-    non-negative, and the complete ('X') spans of each thread nest
-    properly (no partial overlap). *)
+    by the [tracecat] executable and the observability tests) decodes
+    such files with the strict {!Support.Sjson} codec and checks the
+    structural invariants the exporter promises: every event is
+    well-formed, durations are non-negative, and the complete ('X')
+    spans of each thread nest properly (no partial overlap). *)
 
-(* ------------------------------------------------------------------ *)
-(* Minimal JSON                                                        *)
-(* ------------------------------------------------------------------ *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | List of json list
-  | Obj of (string * json) list
-
-exception Parse_error of string
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C" c)
-  in
-  let literal lit v =
-    let l = String.length lit in
-    if !pos + l <= n && String.sub s !pos l = lit then begin
-      pos := !pos + l;
-      v
-    end
-    else fail ("expected " ^ lit)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' -> advance ()
-      | '\\' ->
-          advance ();
-          if !pos >= n then fail "unterminated escape";
-          (match s.[!pos] with
-          | '"' -> Buffer.add_char b '"'
-          | '\\' -> Buffer.add_char b '\\'
-          | '/' -> Buffer.add_char b '/'
-          | 'b' -> Buffer.add_char b '\b'
-          | 'f' -> Buffer.add_char b '\012'
-          | 'n' -> Buffer.add_char b '\n'
-          | 'r' -> Buffer.add_char b '\r'
-          | 't' -> Buffer.add_char b '\t'
-          | 'u' ->
-              if !pos + 4 >= n then fail "truncated \\u escape";
-              let hex = String.sub s (!pos + 1) 4 in
-              let code =
-                try int_of_string ("0x" ^ hex)
-                with _ -> fail "bad \\u escape"
-              in
-              pos := !pos + 4;
-              (* encode the code point as UTF-8 (surrogates kept as-is:
-                 the exporter never emits them) *)
-              if code < 0x80 then Buffer.add_char b (Char.chr code)
-              else if code < 0x800 then begin
-                Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
-                Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-              end
-              else begin
-                Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
-                Buffer.add_char b
-                  (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-              end
-          | c -> fail (Printf.sprintf "bad escape \\%C" c));
-          advance ();
-          go ()
-      | c ->
-          Buffer.add_char b c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while !pos < n && num_char s.[!pos] do
-      advance ()
-    done;
-    if !pos = start then fail "expected number";
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "malformed number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' -> Str (parse_string ())
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((k, v) :: acc)
-            | Some '}' ->
-                advance ();
-                List.rev ((k, v) :: acc)
-            | _ -> fail "expected ',' or '}'"
-          in
-          Obj (members [])
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          List []
-        end
-        else begin
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements (v :: acc)
-            | Some ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | _ -> fail "expected ',' or ']'"
-          in
-          List (elements [])
-        end
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> Num (parse_number ())
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
+module J = Support.Sjson
 
 (* ------------------------------------------------------------------ *)
 (* Events                                                              *)
@@ -194,18 +25,18 @@ type event = {
 (** Decode and structurally check one trace file. [Error msg] names the
     first violated invariant. *)
 let parse_trace (text : string) : (event list, string) result =
-  match parse_json text with
-  | exception Parse_error msg -> Error ("not valid JSON: " ^ msg)
-  | List items ->
+  match J.parse_result text with
+  | Error msg -> Error ("not valid JSON: " ^ msg)
+  | Ok (J.List items) ->
       let decode i item =
         let str k =
-          match member k item with
-          | Some (Str s) -> Ok s
-          | _ -> Error (Printf.sprintf "event %d: missing string %S" i k)
+          match J.str_member k item with
+          | Some s -> Ok s
+          | None -> Error (Printf.sprintf "event %d: missing string %S" i k)
         in
         let num k =
-          match member k item with
-          | Some (Num f) -> Ok (Some f)
+          match J.member k item with
+          | Some (J.Num f) -> Ok (Some f)
           | None -> Ok None
           | Some _ -> Error (Printf.sprintf "event %d: %S not a number" i k)
         in
@@ -250,7 +81,7 @@ let parse_trace (text : string) : (event list, string) result =
             | Error _ as e -> e)
       in
       all 0 [] items
-  | _ -> Error "top-level value is not an array"
+  | Ok _ -> Error "top-level value is not an array"
 
 (* Exported timestamps carry microseconds with nanosecond decimals, so
    comparisons tolerate one representable ulp of slack. *)
