@@ -318,45 +318,6 @@ let ext_program (t : t) (key : 'a Ext.key) ~(compute : unit -> 'a) : 'a =
       Mutex.unlock t.lock;
       v
 
-(* ------------------------------------------------------------------ *)
-(* Content-addressed summary store                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Process-wide, like the program cache below: a summary is valid for
-   any context whose function has the same content digest, so reloading
-   an edited file recomputes only the functions whose digest (own body
-   or a transitive callee's) changed. Entries are immutable once
-   inserted — the digest pins the value — so first insertion wins. *)
-let sum_tbl : (int * string, exn) Hashtbl.t = Hashtbl.create 256
-let sum_lock = Mutex.create ()
-let sum_hits = Atomic.make 0
-let sum_misses = Atomic.make 0
-
-let summary_find (key : 'a Ext.key) (digest : string) : 'a option =
-  Mutex.lock sum_lock;
-  let e = Hashtbl.find_opt sum_tbl (key.Ext.uid, digest) in
-  Mutex.unlock sum_lock;
-  match Option.bind e key.Ext.project with
-  | Some v ->
-      Atomic.incr sum_hits;
-      Some v
-  | None ->
-      Atomic.incr sum_misses;
-      None
-
-let summary_add (key : 'a Ext.key) (digest : string) (v : 'a) : unit =
-  Mutex.lock sum_lock;
-  if not (Hashtbl.mem sum_tbl (key.Ext.uid, digest)) then
-    Hashtbl.replace sum_tbl (key.Ext.uid, digest) (key.Ext.inject v);
-  Mutex.unlock sum_lock
-
-let summary_cache_counts () = (Atomic.get sum_hits, Atomic.get sum_misses)
-
-let clear_summaries () =
-  Mutex.lock sum_lock;
-  Hashtbl.reset sum_tbl;
-  Mutex.unlock sum_lock
-
 let stats (t : t) : stats =
   let filled arr =
     Array.fold_left (fun a -> function Some _ -> a + 1 | None -> a) 0 arr
@@ -475,3 +436,10 @@ let mem_program ?(config = Lower.default_config) ~file source =
   Option.is_some (lookup_cached (file, config) source)
 
 let program_cache_counts () = (Atomic.get prog_hits, Atomic.get prog_misses)
+
+(* ------------------------------------------------------------------ *)
+(* Retired summary store (kept for the benchmark probe)                *)
+(* ------------------------------------------------------------------ *)
+
+let summary_cache_counts () = (0, 0)
+let clear_summaries () = ()

@@ -65,27 +65,6 @@ val ext_program : t -> 'a Ext.key -> compute:(unit -> 'a) -> 'a
     and may re-enter the context; on a race the first insertion
     wins. *)
 
-(* ------------------------------------------------------------------ *)
-(* Content-addressed summary store                                     *)
-(* ------------------------------------------------------------------ *)
-
-val summary_find : 'a Ext.key -> string -> 'a option
-(** [summary_find key digest] looks up the process-wide
-    content-addressed summary store. A summary is valid for any context
-    whose function has the same content digest, so re-analysing an
-    edited file recomputes only functions whose digest (own body or a
-    transitive callee's, see [Analysis.Summary]) changed. *)
-
-val summary_add : 'a Ext.key -> string -> 'a -> unit
-(** Insert a finished summary under its content digest. Entries are
-    immutable (the digest pins the value); first insertion wins. *)
-
-val summary_cache_counts : unit -> int * int
-(** Cumulative (hits, misses) of the summary store. *)
-
-val clear_summaries : unit -> unit
-(** Drop every stored summary (tests and cold-path benches). *)
-
 type stats = {
   alias_memos : int;
   pointsto_memos : int;
@@ -149,3 +128,14 @@ val program_cache_counts : unit -> int * int
     [rustudy_cache_program_events_total{event="hit"|"miss"|"purge"}]
     and [rustudy_cache_memo_total{analysis,outcome}] for the per-body
     memo tables. *)
+
+(** {1 Retired store; kept for the benchmark probe}
+
+    There is no process-wide summary store: summaries live only in a
+    context's {!ext_program} slots. *)
+
+val summary_cache_counts : unit -> int * int
+(** Always [(0, 0)]. *)
+
+val clear_summaries : unit -> unit
+(** Does nothing. *)

@@ -10,13 +10,12 @@
     topological wave can be analysed in parallel across
     {!Support.Domain_pool}.
 
-    Detectors plug in as {!client}s: a summary recompute function, an
-    equality for convergence, and a content-address key. For programs
-    large enough to matter, finished summaries are stored
-    content-addressed in {!Cache} (keyed by a Merkle digest of the
-    function body, its transitive callees and the client config), so
-    re-analysing an edited program recomputes only the functions whose
-    digest — own body or some callee's — actually changed. *)
+    Detectors plug in as {!client}s: a summary recompute function and
+    an equality for convergence. Summaries live only as long as the
+    analysis context: the condensation and each client's finished
+    table are memoised in {!Cache} program slots, so every function is
+    summarised once per context and nothing is shared across
+    contexts. *)
 
 open Ir
 module IntSet = Dataflow.IntSet
@@ -57,12 +56,6 @@ let m_instantiated =
            computation and detection)."
     "rustudy_summary_instantiated_total"
 
-let m_cache_hits =
-  Support.Metrics.counter ~labels:[ "analysis" ]
-    ~help:"Per-function summaries served from the content-addressed \
-           summary store instead of being recomputed."
-    "rustudy_summary_cache_hits_total"
-
 let note_computed analysis =
   if Support.Metrics.enabled () then
     Support.Metrics.incr m_computed ~labels:[ analysis ]
@@ -70,11 +63,6 @@ let note_computed analysis =
 let note_instantiated ?(n = 1) analysis =
   if Support.Metrics.enabled () then
     Support.Metrics.incr m_instantiated ~labels:[ analysis ]
-      ~by:(float_of_int n)
-
-let note_cache_hits analysis n =
-  if Support.Metrics.enabled () then
-    Support.Metrics.incr m_cache_hits ~labels:[ analysis ]
       ~by:(float_of_int n)
 
 (* ------------------------------------------------------------------ *)
@@ -263,25 +251,26 @@ let dep_succs (bodies : Mir.body array) : int array array =
       a)
     bodies
 
-type graph = { g_succs : int array array; g_scc : Scc.t }
+let scc_key : Scc.t Cache.Ext.key = Cache.Ext.create ()
 
-let graph_key : graph Cache.Ext.key = Cache.Ext.create ()
-
-let graph_of (ctx : Cache.t) (bodies : Mir.body array) : graph =
-  Cache.ext_program ctx graph_key ~compute:(fun () ->
-      let succs = dep_succs bodies in
-      { g_succs = succs; g_scc = Scc.condense ~n:(Array.length bodies) ~succs })
+let scc_of (ctx : Cache.t) (bodies : Mir.body array) : Scc.t =
+  Cache.ext_program ctx scc_key ~compute:(fun () ->
+      Scc.condense ~n:(Array.length bodies) ~succs:(dep_succs bodies))
 
 let condensation (ctx : Cache.t) : Scc.t =
-  (graph_of ctx (Array.of_list (Mir.body_list (Cache.program ctx)))).g_scc
+  scc_of ctx (Array.of_list (Mir.body_list (Cache.program ctx)))
 
 (* ------------------------------------------------------------------ *)
-(* Content addressing                                                  *)
+(* Retired summary store (kept for the benchmark probe)                *)
 (* ------------------------------------------------------------------ *)
+
+(* Kept only for the benchmark probe (perfbench/probe), which times
+   [body_digest] on programs with at least [store_min_bodies ()]
+   bodies. Summaries are never stored across contexts, so no program
+   is digested. *)
 
 (* [Mir.body_to_string] covers names, types, and the full CFG but not
-   source positions; findings carry spans, so two textually identical
-   bodies at different locations must digest differently. *)
+   source positions, so the spans are mixed in separately. *)
 let body_digest (body : Mir.body) : string =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (Mir.body_to_string body);
@@ -306,31 +295,14 @@ let body_digest (body : Mir.body) : string =
     body.Mir.blocks;
   Digest.string (Buffer.contents buf)
 
-let digest_key : string Cache.Ext.key = Cache.Ext.create ()
-
-let digest_of (ctx : Cache.t) (body : Mir.body) : string =
-  Cache.ext ctx digest_key body ~compute:body_digest
-
-(* Content addressing costs a body pretty-print + MD5 per function; on
-   the many tiny corpus programs that overhead buys nothing (the whole
-   summary computation is a few table operations), so the store only
-   engages above a body-count threshold. Tests and benches lower it. *)
-let store_min_bodies_cell = Atomic.make 24
-let store_min_bodies () = Atomic.get store_min_bodies_cell
-let set_store_min_bodies n = Atomic.set store_min_bodies_cell (max 0 n)
+let store_min_bodies () = max_int
 
 (* ------------------------------------------------------------------ *)
 (* Clients                                                             *)
 (* ------------------------------------------------------------------ *)
 
 type 'a client = {
-  name : string;  (** metrics label; also part of the content address *)
-  params : string;
-      (** client configuration fingerprint (e.g. the UAF detector's
-          extern-deref assumption) mixed into the content address *)
-  skey : 'a array Cache.Ext.key;
-      (** typed slot for the content-addressed store (one SCC's member
-          summaries per entry) *)
+  name : string;  (** metrics label *)
   equal : 'a -> 'a -> bool;  (** SCC fixpoint convergence test *)
   compute : lookup:(string -> 'a option) -> Mir.body -> 'a;
       (** recompute one function's summary; [lookup] serves finished
@@ -355,16 +327,15 @@ let set_engine_domains n = Atomic.set default_domains_cell (max 1 n)
 (* The engine                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let compute ?domains ?(force_store = false) (ctx : Cache.t)
-    (client : 'a client) : (string, 'a) Hashtbl.t =
+let compute ?domains (ctx : Cache.t) (client : 'a client) :
+    (string, 'a) Hashtbl.t =
   let domains = match domains with Some d -> d | None -> engine_domains () in
   let bodies = Array.of_list (Mir.body_list (Cache.program ctx)) in
   let n = Array.length bodies in
   let tbl : (string, 'a) Hashtbl.t = Hashtbl.create (max 16 (2 * n)) in
   if n = 0 then tbl
   else begin
-    let { g_succs = succs; g_scc = scc } = graph_of ctx bodies in
-    let use_store = force_store || n >= store_min_bodies () in
+    let scc = scc_of ctx bodies in
     let lookup name =
       match Hashtbl.find_opt tbl name with
       | Some v ->
@@ -413,68 +384,23 @@ let compute ?domains ?(force_store = false) (ctx : Cache.t)
         Array.map (fun v -> Hashtbl.find local bodies.(v).Mir.fn_id) members
       end
     in
-    (* Merkle content address of one SCC: client identity + member body
-       digests + the addresses of every callee component. An edit to
-       one function changes only its own component's address and its
-       transitive callers' — callees and siblings still hit. *)
-    let scc_keys = Array.make scc.Scc.count "" in
-    let key_of_scc c =
-      let buf = Buffer.create 256 in
-      Buffer.add_string buf client.name;
-      Buffer.add_char buf '\x00';
-      Buffer.add_string buf client.params;
-      Array.iter
-        (fun v ->
-          Buffer.add_char buf '\x00';
-          Buffer.add_string buf (digest_of ctx bodies.(v)))
-        scc.Scc.members.(c);
-      let ext_seen = Hashtbl.create 4 in
-      let ext = ref [] in
-      Array.iter
-        (fun v ->
-          Array.iter
-            (fun w ->
-              let cw = scc.Scc.comp_of.(w) in
-              if cw <> c && not (Hashtbl.mem ext_seen cw) then begin
-                Hashtbl.replace ext_seen cw ();
-                ext := cw :: !ext
-              end)
-            succs.(v))
-        scc.Scc.members.(c);
-      List.iter
-        (fun cw -> Buffer.add_string buf scc_keys.(cw))
-        (List.sort compare !ext);
-      Digest.string (Buffer.contents buf)
-    in
     let dl = Support.Deadline.token () in
     let give_up c =
       (* stop cleanly: callers of the unprocessed components read
          absent (bottom) summaries, an under-approximation like every
-         other deadline-truncated analysis. Nothing partial is
-         stored. *)
+         other deadline-truncated analysis. *)
       Cache.deadline_warning ctx
         bodies.(scc.Scc.members.(c).(0)).Mir.fn_id
         "interprocedural summary"
     in
-    (* Serve one component: store lookup (when engaged), recompute on
-       miss, publish the member summaries into [tbl]. *)
-    let finish_scc c vs from_store =
-      if from_store then note_cache_hits client.name (Array.length vs)
-      else if use_store then Cache.summary_add client.skey scc_keys.(c) vs;
+    (* Publish one finished component's member summaries into [tbl]. *)
+    let finish_scc c vs =
       Array.iteri
         (fun i v ->
           Hashtbl.replace tbl bodies.(scc.Scc.members.(c).(i)).Mir.fn_id v)
         vs
     in
-    let serve_scc c =
-      if use_store then begin
-        scc_keys.(c) <- key_of_scc c;
-        match Cache.summary_find client.skey scc_keys.(c) with
-        | Some vs -> finish_scc c vs true
-        | None -> finish_scc c (compute_scc c) false
-      end
-      else finish_scc c (compute_scc c) false
-    in
+    let serve_scc c = finish_scc c (compute_scc c) in
     if domains > 1 || Support.Trace.enabled () then begin
       (* Wave-at-a-time schedule: one [summary.scc_wave] span per
          topological level, in-wave components fanned across the
@@ -497,25 +423,16 @@ let compute ?domains ?(force_store = false) (ctx : Cache.t)
                   ]
                 "summary.scc_wave"
                 (fun () ->
-                  if domains > 1 && Array.length wave > 1 then begin
-                    if use_store then
-                      Array.iter (fun c -> scc_keys.(c) <- key_of_scc c) wave;
-                    (* [`work`] only reads [tbl] (earlier waves) and the
-                       mutex-guarded store, so in-wave components can
-                       run on the pool; insertion back into [tbl] stays
-                       sequential and in component order either way. *)
-                    let work c =
-                      if use_store then
-                        match Cache.summary_find client.skey scc_keys.(c) with
-                        | Some vs -> (c, vs, true)
-                        | None -> (c, compute_scc c, false)
-                      else (c, compute_scc c, false)
-                    in
+                  if domains > 1 && Array.length wave > 1 then
+                    (* [compute_scc] only reads [tbl] (earlier waves), so
+                       in-wave components can run on the pool; insertion
+                       back into [tbl] stays sequential and in component
+                       order either way. *)
                     List.iter
-                      (fun (c, vs, from_store) -> finish_scc c vs from_store)
-                      (Support.Domain_pool.map ~domains ~chunk:1 ~f:work
+                      (fun (c, vs) -> finish_scc c vs)
+                      (Support.Domain_pool.map ~domains ~chunk:1
+                         ~f:(fun c -> (c, compute_scc c))
                          (Array.to_list wave))
-                  end
                   else Array.iter serve_scc wave))
         scc.Scc.waves
     end
@@ -636,16 +553,12 @@ let escape_of_body ~lookup (ctx : Cache.t) (body : Mir.body) : escape =
     body.Mir.blocks;
   { esc_returned = !returned; esc_escaped = !escaped }
 
-let escape_skey : escape array Cache.Ext.key = Cache.Ext.create ()
-
 let escape_tbl_key : (string, escape) Hashtbl.t Cache.Ext.key =
   Cache.Ext.create ()
 
 let escape_client ctx : escape client =
   {
     name = "escape";
-    params = "";
-    skey = escape_skey;
     equal = escape_equal;
     compute = (fun ~lookup body -> escape_of_body ~lookup ctx body);
   }

@@ -5,10 +5,9 @@
     iteration only inside non-trivial SCCs, call sites instantiating
     finished callee summaries instead of re-entering bodies.
     Independent SCCs in the same topological wave can run in parallel
-    across {!Support.Domain_pool}, and finished summaries are stored
-    content-addressed in {!Cache} (keyed by a Merkle digest of the
-    function body, its transitive callees and the client config) so
-    edits invalidate function-granularly.
+    across {!Support.Domain_pool}. Finished summaries are memoised per
+    analysis context ({!Cache.ext_program}), so each function is
+    summarised once per context; nothing is shared across contexts.
 
     The double-lock and use-after-free detectors plug in as
     {!client}s; their legacy whole-program fixpoint survives as
@@ -62,12 +61,7 @@ val condensation : Cache.t -> Scc.t
 (** {1 Clients} *)
 
 type 'a client = {
-  name : string;  (** metrics label; also part of the content address *)
-  params : string;
-      (** client configuration fingerprint mixed into the content
-          address *)
-  skey : 'a array Cache.Ext.key;
-      (** typed slot for the content-addressed store *)
+  name : string;  (** metrics label *)
   equal : 'a -> 'a -> bool;  (** SCC fixpoint convergence test *)
   compute : lookup:(string -> 'a option) -> Mir.body -> 'a;
       (** recompute one function's summary; [lookup] serves finished
@@ -75,29 +69,13 @@ type 'a client = {
           client must read as the bottom summary) *)
 }
 
-val compute :
-  ?domains:int ->
-  ?force_store:bool ->
-  Cache.t ->
-  'a client ->
-  (string, 'a) Hashtbl.t
+val compute : ?domains:int -> Cache.t -> 'a client -> (string, 'a) Hashtbl.t
 (** Bottom-up summaries for every function of the program, keyed by
-    [fn_id]. [?domains] (default {!engine_domains}) > 1 analyses
-    independent SCCs of each wave on a domain pool. [?force_store]
-    engages the content-addressed store regardless of
-    {!store_min_bodies}. Deadline-aware: on expiry the remaining waves
-    are skipped (absent summaries under-approximate) and a W0402 is
-    attached to the context. *)
-
-val body_digest : Mir.body -> string
-(** Content digest of one body (text, types, CFG and spans). *)
-
-val store_min_bodies : unit -> int
-(** Programs with fewer bodies skip the content-addressed store — for
-    the many tiny corpus programs the digesting would cost more than
-    the summaries (default 24). *)
-
-val set_store_min_bodies : int -> unit
+    [fn_id]; a function outside any cycle is computed exactly once.
+    [?domains] (default {!engine_domains}) > 1 analyses independent
+    SCCs of each wave on a domain pool. Deadline-aware: on expiry the
+    remaining waves are skipped (absent summaries under-approximate)
+    and a W0402 is attached to the context. *)
 
 val engine_domains : unit -> int
 (** Default [?domains] for {!compute} (default 1: the corpus sweep
@@ -129,3 +107,15 @@ val escape_summaries :
   ?domains:int -> Cache.t -> (string, escape) Hashtbl.t
 (** Escape/return summaries for every function, computed through the
     engine and memoised in the context. *)
+
+(** {1 Retired store; kept for the benchmark probe}
+
+    Summaries are never stored across contexts and the engine digests
+    nothing; the benchmark probe still times these. *)
+
+val body_digest : Mir.body -> string
+(** Content digest of one body (text, types, CFG and spans). No caller
+    in the library. *)
+
+val store_min_bodies : unit -> int
+(** Always [max_int]: no program is large enough to be digested. *)

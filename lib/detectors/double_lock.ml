@@ -439,17 +439,12 @@ let compute_summaries (ctx : Analysis.Cache.t) : summaries =
   end
 
 (* Summary mode: the SCC-scheduled bottom-up engine. *)
-let summary_skey : summary_entry list array Analysis.Cache.Ext.key =
-  Analysis.Cache.Ext.create ()
-
 let summary_tbl_key : summaries Analysis.Cache.Ext.key =
   Analysis.Cache.Ext.create ()
 
 let summary_client ctx : summary_entry list Analysis.Summary.client =
   {
     Analysis.Summary.name = "double_lock";
-    params = "";
-    skey = summary_skey;
     (* the replay fixpoint detects change by length; a converged list
        can only differ in length, so the engine matches it *)
     equal = (fun a b -> List.length a = List.length b);

@@ -204,15 +204,8 @@ let compute_summaries ?(assume_extern_derefs = true) (ctx : Analysis.Cache.t)
   done;
   tbl
 
-(* Summary mode: the SCC-scheduled bottom-up engine, one store slot per
-   extern-assumption flag (the flag changes the summaries, so it is
-   both a distinct typed key and part of the content address). *)
-let summary_skey_extern : IntSet.t array Analysis.Cache.Ext.key =
-  Analysis.Cache.Ext.create ()
-
-let summary_skey_no_extern : IntSet.t array Analysis.Cache.Ext.key =
-  Analysis.Cache.Ext.create ()
-
+(* Summary mode: the SCC-scheduled bottom-up engine, one per-context
+   table per extern-assumption flag (the flag changes the summaries). *)
 let summary_tbl_key_extern : summaries Analysis.Cache.Ext.key =
   Analysis.Cache.Ext.create ()
 
@@ -223,10 +216,6 @@ let summary_client ~assume_extern_derefs ctx : IntSet.t Analysis.Summary.client
     =
   {
     Analysis.Summary.name = "uaf";
-    params = Printf.sprintf "extern_derefs=%b" assume_extern_derefs;
-    skey =
-      (if assume_extern_derefs then summary_skey_extern
-       else summary_skey_no_extern);
     equal = IntSet.equal;
     compute =
       (fun ~lookup body ->

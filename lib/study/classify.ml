@@ -252,7 +252,6 @@ let tracked_counters =
   in
   let a = c ~labels:[ "analysis" ] "rustudy_analysis_runs_total" in
   let sc = c ~labels:[ "analysis" ] "rustudy_summary_computed_total" in
-  let sh = c ~labels:[ "analysis" ] "rustudy_summary_cache_hits_total" in
   [
     ("pointsto_runs", c "rustudy_pointsto_runs_total", None);
     ("pointsto_passes", c "rustudy_pointsto_passes_total", None);
@@ -263,8 +262,6 @@ let tracked_counters =
     ("callgraph_runs", a, Some [ "callgraph" ]);
     ("summary_dlock", sc, Some [ "double_lock" ]);
     ("summary_uaf", sc, Some [ "uaf" ]);
-    ("summary_hits_dlock", sh, Some [ "double_lock" ]);
-    ("summary_hits_uaf", sh, Some [ "uaf" ]);
   ]
 
 let sample_domain_counters () =

@@ -2,8 +2,8 @@
    QCheck properties of the SCC condensation against a brute-force
    reachability oracle, differential byte-identity of summary-mode vs
    replay-mode detector findings over the full corpus and every fault
-   mutant, the content-addressed summary store, the escape client, and
-   the parallel wave path. *)
+   mutant, once-per-context summaries on large programs, the escape
+   client, and the parallel wave path. *)
 
 module Summary = Rustudy.Summary
 module Scc = Rustudy.Summary.Scc
@@ -299,9 +299,95 @@ let recursion =
           (distinct (fun () -> Detectors.Uaf.run ~mode:Summary.Summary p)));
   ]
 
-(* ---------------- content-addressed store -------------------------- *)
+(* ---------------- large programs: once per context ---------------- *)
 
-let store_src =
+(* A 30-body chain (past the 24 bodies at which the retired summary
+   store used to engage): [sink] locks and dereferences, [f1..f28]
+   forward to their predecessor, and [top] holds the lock and passes
+   a dangling pointer down, so both detectors report through the whole
+   chain. *)
+let chain_bodies = 30
+
+let chain_src =
+  let b = Buffer.create 4096 in
+  let fn name body =
+    Buffer.add_string b
+      (Printf.sprintf "pub unsafe fn %s {\n%s}\n" name body)
+  in
+  fn "sink(m: Arc<Mutex<u64>>, p: *const u8) -> u8"
+    "    let g = m.lock().unwrap();\n    let x = *p;\n    x\n";
+  let link = chain_bodies - 2 in
+  for i = 1 to link do
+    fn
+      (Printf.sprintf "f%d(m: Arc<Mutex<u64>>, p: *const u8) -> u8" i)
+      (Printf.sprintf "    let v = %s(m, p);\n    v\n"
+         (if i = 1 then "sink" else Printf.sprintf "f%d" (i - 1)))
+  done;
+  fn "top(m: Arc<Mutex<u64>>) -> u8"
+    (Printf.sprintf
+       "    let g = m.lock().unwrap();\n    let buf = vec![1u8, 2u8];\n\
+       \    let p = buf.as_ptr();\n    drop(buf);\n\
+       \    let v = f%d(m, p);\n    v\n"
+       link);
+  Buffer.contents b
+
+let large =
+  [
+    case "each function of a large DAG is summarised once per context"
+      (fun () ->
+        let module M = Support.Metrics in
+        let was = M.enabled () in
+        Fun.protect
+          ~finally:(fun () -> if not was then M.disable ())
+          (fun () ->
+            M.enable ();
+            let p = Rustudy.load ~file:"chain.rs" chain_src in
+            Alcotest.(check int) "body count" chain_bodies
+              (List.length (Rustudy.Mir.body_list p));
+            let computed label =
+              M.read_counter ~labels:[ label ] "rustudy_summary_computed_total"
+            in
+            let mode = Summary.Summary in
+            let clients =
+              [
+                ( "double_lock",
+                  fun ctx -> ignore (Detectors.Double_lock.run_ctx ~mode ctx) );
+                ("uaf", fun ctx -> ignore (Detectors.Uaf.run_ctx ~mode ctx));
+                ("escape", fun ctx -> ignore (Summary.escape_summaries ctx));
+              ]
+            in
+            List.iter
+              (fun (label, run) ->
+                let ctx = Rustudy.Cache.create p in
+                let c0 = computed label in
+                run ctx;
+                (* a second run on the same context is served by its
+                   memo and computes nothing *)
+                run ctx;
+                Alcotest.(check (float 0.01)) label
+                  (float_of_int chain_bodies) (computed label -. c0))
+              clients));
+    case "two fresh contexts on a large program agree with replay"
+      (fun () ->
+        let p = Rustudy.load ~file:"chain.rs" chain_src in
+        let findings mode =
+          let ctx = Rustudy.Cache.create p in
+          render
+            (Detectors.Double_lock.run_ctx ~mode ctx
+            @ Detectors.Uaf.run_ctx ~mode ctx)
+        in
+        let first = findings Summary.Summary in
+        let second = findings Summary.Summary in
+        Alcotest.(check bool) "reports both bugs" true
+          (List.length (String.split_on_char '\n' first) = 2);
+        Alcotest.(check string) "second context = first" first second;
+        Alcotest.(check string) "summary = replay" (findings Summary.Replay)
+          first);
+  ]
+
+(* ---------------- metrics ------------------------------------------ *)
+
+let chain3_src =
   (* three functions in a chain so a summary actually crosses an edge *)
   {|
 pub unsafe fn sink(m: Arc<Mutex<u64>>, p: *const u8) -> u8 {
@@ -319,60 +405,6 @@ pub unsafe fn top(m: Arc<Mutex<u64>>, p: *const u8) -> u8 {
 }
 |}
 
-let store =
-  [
-    case "content store serves byte-identical findings on a warm run"
-      (fun () ->
-        let saved = Summary.store_min_bodies () in
-        Fun.protect
-          ~finally:(fun () ->
-            Summary.set_store_min_bodies saved;
-            Rustudy.Cache.clear_summaries ())
-          (fun () ->
-            Summary.set_store_min_bodies 0;
-            Rustudy.Cache.clear_summaries ();
-            let p = Rustudy.load ~file:"store.rs" store_src in
-            let replay = render (Detectors.Uaf.run ~mode:Summary.Replay p) in
-            let cold = render (Detectors.Uaf.run ~mode:Summary.Summary p) in
-            let hits0, misses0 = Rustudy.Cache.summary_cache_counts () in
-            (* fresh context, same content digests: every component
-               must come out of the store *)
-            let warm = render (Detectors.Uaf.run ~mode:Summary.Summary p) in
-            let hits1, misses1 = Rustudy.Cache.summary_cache_counts () in
-            Alcotest.(check string) "cold = replay" replay cold;
-            Alcotest.(check string) "warm = replay" replay warm;
-            Alcotest.(check bool) "cold run missed" true (misses0 > 0);
-            Alcotest.(check int) "warm run all hits" misses0 misses1;
-            Alcotest.(check bool) "warm run hit" true (hits1 > hits0)));
-    case "editing one function invalidates only its callers" (fun () ->
-        let saved = Summary.store_min_bodies () in
-        Fun.protect
-          ~finally:(fun () ->
-            Summary.set_store_min_bodies saved;
-            Rustudy.Cache.clear_summaries ())
-          (fun () ->
-            Summary.set_store_min_bodies 0;
-            Rustudy.Cache.clear_summaries ();
-            let p = Rustudy.load ~file:"store.rs" store_src in
-            ignore (Detectors.Uaf.run ~mode:Summary.Summary p);
-            let _, misses0 = Rustudy.Cache.summary_cache_counts () in
-            (* touch [top] only: [sink] and [mid] keep their digests,
-               so re-analysis recomputes exactly one component *)
-            let edited =
-              Str.global_replace
-                (Str.regexp_string "let v = mid(m, p);\n    v\n}\n")
-                "let v = mid(m, p);\n    let w = v;\n    w\n}\n" store_src
-            in
-            Alcotest.(check bool) "edit applied" true (edited <> store_src);
-            let p' = Rustudy.load ~file:"store.rs" edited in
-            ignore (Detectors.Uaf.run ~mode:Summary.Summary p');
-            let _, misses1 = Rustudy.Cache.summary_cache_counts () in
-            Alcotest.(check int) "one recompute after the edit" (misses0 + 1)
-              misses1));
-  ]
-
-(* ---------------- metrics ------------------------------------------ *)
-
 let metrics =
   [
     case "summary counters track computations and instantiations" (fun () ->
@@ -385,7 +417,7 @@ let metrics =
             let read name label = M.read_counter ~labels:[ label ] name in
             let c0 = read "rustudy_summary_computed_total" "uaf" in
             let i0 = read "rustudy_summary_instantiated_total" "uaf" in
-            let p = Rustudy.load ~file:"store.rs" store_src in
+            let p = Rustudy.load ~file:"chain3.rs" chain3_src in
             ignore (Detectors.Uaf.run ~mode:Summary.Summary p);
             let c1 = read "rustudy_summary_computed_total" "uaf" in
             let i1 = read "rustudy_summary_instantiated_total" "uaf" in
@@ -466,8 +498,6 @@ let parallel =
           Summary.compute ~domains:2 ctx
             {
               Summary.name = "t_par";
-              params = "";
-              skey = Rustudy.Cache.Ext.create ();
               equal = ( = );
               compute =
                 (fun ~lookup (b : Rustudy.Mir.body) ->
@@ -488,4 +518,4 @@ let parallel =
   ]
 
 let suite =
-  scc_props @ differential @ recursion @ store @ metrics @ escape @ parallel
+  scc_props @ differential @ recursion @ large @ metrics @ escape @ parallel
