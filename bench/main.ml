@@ -485,11 +485,11 @@ let interproc_rows ~shapes ~sizes () =
   rows
 
 (* The acceptance gates of the summary layer, checked on the full run:
-   at >= 1000 functions the engine must be no slower than replay on
-   every shape, >= 3x faster on the 10k chain, and its per-function
-   cost must stay within 2x from 1k to 10k (i.e. the bottom-up
-   schedule scales near-linearly). The 100-function ratios are printed
-   but not gated. Returns false (and prints why) on a violation. *)
+   at every size the engine must be no slower than replay on every
+   shape, >= 3x faster on the 10k chain, and its per-function cost
+   must stay within 2x from 1k to 10k (i.e. the bottom-up schedule
+   scales near-linearly). Returns false (and prints why) on a
+   violation. *)
 let interproc_asserts (rows : (string * float) list) : bool =
   let get name = List.assoc_opt ("interproc/" ^ name) rows in
   let ok = ref true in
@@ -500,12 +500,10 @@ let interproc_asserts (rows : (string * float) list) : bool =
           let base = Printf.sprintf "%s_%d" (Scale_gen.shape_name shape) n in
           match (get (base ^ "_replay"), get (base ^ "_summary_cold")) with
           | Some replay, Some summary ->
-              let gated = n >= 1000 in
               Printf.printf
-                "  interproc gate: %s summary %.2fx faster than replay%s\n"
-                base (replay /. summary)
-                (if gated then "" else " (not gated)");
-              if gated && summary > replay then begin
+                "  interproc gate: %s summary %.2fx faster than replay\n"
+                base (replay /. summary);
+              if summary > replay then begin
                 Printf.printf
                   "  FAILED: summary engine slower than replay on %s\n" base;
                 ok := false

@@ -66,6 +66,11 @@ type t = {
   alias_arr : Alias.resolution option array;
   pointsto_arr : Pointsto.t option array;
   storage_arr : Dataflow.IntSetFlow.result option array;
+  sites_arr : int array;
+      (** construct index ([Mir.sites]) per slot; -1 until computed.
+          Read and filled without the lock: racing fills write the
+          same int, and a one-word write cannot tear. *)
+  mutable prog_sites : int;  (** union of every body's index; -1 until computed *)
   mutable cg : Callgraph.t option;
   ext_arr : (int, exn option array) Hashtbl.t;
       (** key uid -> per-body slot array *)
@@ -90,6 +95,8 @@ let create ?(diags = []) (prog : Mir.program) : t =
     alias_arr = Array.make n None;
     pointsto_arr = Array.make n None;
     storage_arr = Array.make n None;
+    sites_arr = Array.make n (-1);
+    prog_sites = -1;
     cg = None;
     ext_arr = Hashtbl.create 8;
     ext_prog = Hashtbl.create 8;
@@ -229,6 +236,26 @@ let storage (t : t) (body : Mir.body) : Dataflow.IntSetFlow.result =
         stopped_warning t body.Mir.fn_id "storage-liveness"
           ~deadline:r.Dataflow.IntSetFlow.deadline_hit;
       r)
+
+let sites (t : t) (body : Mir.body) : int =
+  let ix = slot t body in
+  if ix < 0 then Mir.sites body
+  else
+    let s = t.sites_arr.(ix) in
+    if s >= 0 then s
+    else begin
+      let s = Mir.sites body in
+      t.sites_arr.(ix) <- s;
+      s
+    end
+
+let program_sites (t : t) : int =
+  if t.prog_sites >= 0 then t.prog_sites
+  else begin
+    let s = Array.fold_left (fun acc b -> acc lor sites t b) 0 t.slot_bodies in
+    t.prog_sites <- s;
+    s
+  end
 
 let callgraph (t : t) : Callgraph.t =
   Mutex.lock t.lock;

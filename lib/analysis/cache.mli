@@ -44,6 +44,15 @@ val pointsto : t -> Mir.body -> Pointsto.t
 val storage : t -> Mir.body -> Dataflow.IntSetFlow.result
 val callgraph : t -> Callgraph.t
 
+val sites : t -> Mir.body -> int
+(** The body's construct index ([Mir.sites]), memoised per slot in a
+    plain [int array]: no lock and no boxing on the lookup path. The
+    detectors consult it before forcing any analysis of the body. *)
+
+val program_sites : t -> int
+(** The union of {!sites} over every body of the program (memoised):
+    a site kind absent here is absent everywhere. *)
+
 (** Typed extension slots: detector-private per-body memos (e.g. lock
     acquisition maps) keyed by a generative key. *)
 module Ext : sig

@@ -63,7 +63,7 @@ let run_body (body : Mir.body) : Report.finding list =
 let run_ctx (ctx : Analysis.Cache.t) : Report.finding list =
   List.concat_map
     (fun b -> check_body (Analysis.Cache.aliases ctx b) b)
-    (Mir.body_list (Analysis.Cache.program ctx))
+    (Gate.select ctx "atomicity" ~gate:Gate.atomicity)
 
 let run (program : Mir.program) : Report.finding list =
   run_ctx (Analysis.Cache.create program)
@@ -135,7 +135,7 @@ let two_session (body : Mir.body) : Report.finding list =
 let run_with_sessions_ctx (ctx : Analysis.Cache.t) : Report.finding list =
   List.concat_map
     (fun b -> two_session_with (Double_lock.locks_of ctx b) b)
-    (Mir.body_list (Analysis.Cache.program ctx))
+    (Gate.select ctx "atomicity_sessions" ~gate:Gate.atomicity_sessions)
 
 let run_with_sessions (program : Mir.program) : Report.finding list =
   run_with_sessions_ctx (Analysis.Cache.create program)

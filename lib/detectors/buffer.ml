@@ -130,10 +130,8 @@ let run_body (body : Mir.body) : Report.finding list =
     !findings
   end
 
-let run (program : Mir.program) : Report.finding list =
-  List.concat_map run_body (Mir.body_list program)
-
-(* buffer-overflow uses no cached analyses; ctx entry point for
-   uniformity *)
 let run_ctx (ctx : Analysis.Cache.t) : Report.finding list =
-  run (Analysis.Cache.program ctx)
+  List.concat_map run_body (Gate.select ctx "buffer" ~gate:Gate.buffer)
+
+let run (program : Mir.program) : Report.finding list =
+  run_ctx (Analysis.Cache.create program)

@@ -7,7 +7,7 @@ open Ir
 type site = { root : string; fn : string; span : Support.Span.t }
 
 let channel_sites_with (aliases_of : Mir.body -> Analysis.Alias.resolution)
-    (program : Mir.program) : site list * site list =
+    (bodies : Mir.body list) : site list * site list =
   let recvs = ref [] and sends = ref [] in
   List.iter
     (fun (body : Mir.body) ->
@@ -35,11 +35,8 @@ let channel_sites_with (aliases_of : Mir.body -> Analysis.Alias.resolution)
               | _ -> ())
           | _ -> ())
         body.Mir.blocks)
-    (Mir.body_list program);
+    bodies;
   (!recvs, !sends)
-
-let channel_sites (program : Mir.program) : site list * site list =
-  channel_sites_with Analysis.Alias.resolve program
 
 let check (recvs, sends) : Report.finding list =
   List.filter_map
@@ -57,7 +54,7 @@ let check (recvs, sends) : Report.finding list =
 let run_ctx (ctx : Analysis.Cache.t) : Report.finding list =
   check
     (channel_sites_with (Analysis.Cache.aliases ctx)
-       (Analysis.Cache.program ctx))
+       (Gate.select ctx "channel" ~gate:Gate.channel))
 
 let run (program : Mir.program) : Report.finding list =
-  check (channel_sites program)
+  run_ctx (Analysis.Cache.create program)

@@ -8,7 +8,7 @@ open Ir
 type site = { root : string; fn : string; span : Support.Span.t }
 
 let condvar_sites_with (aliases_of : Mir.body -> Analysis.Alias.resolution)
-    (program : Mir.program) : site list * site list =
+    (bodies : Mir.body list) : site list * site list =
   let waits = ref [] and notifies = ref [] in
   List.iter
     (fun (body : Mir.body) ->
@@ -38,11 +38,8 @@ let condvar_sites_with (aliases_of : Mir.body -> Analysis.Alias.resolution)
               | _ -> ())
           | _ -> ())
         body.Mir.blocks)
-    (Mir.body_list program);
+    bodies;
   (!waits, !notifies)
-
-let condvar_sites (program : Mir.program) : site list * site list =
-  condvar_sites_with Analysis.Alias.resolve program
 
 let check (waits, notifies) : Report.finding list =
   (* Identity across threads is approximated by the field path suffix:
@@ -77,7 +74,7 @@ let check (waits, notifies) : Report.finding list =
 let run_ctx (ctx : Analysis.Cache.t) : Report.finding list =
   check
     (condvar_sites_with (Analysis.Cache.aliases ctx)
-       (Analysis.Cache.program ctx))
+       (Gate.select ctx "condvar" ~gate:Gate.condvar))
 
 let run (program : Mir.program) : Report.finding list =
-  check (condvar_sites program)
+  run_ctx (Analysis.Cache.create program)

@@ -4,5 +4,11 @@
 
 open Ir
 
+type site = { root : string; fn : string; span : Support.Span.t }
+
+val condvar_sites_with :
+  (Mir.body -> Analysis.Alias.resolution) -> Mir.body list -> site list * site list
+(** [(waits, notifies)] of the given bodies, ungated. *)
+
 val run_ctx : Analysis.Cache.t -> Report.finding list
 val run : Mir.program -> Report.finding list

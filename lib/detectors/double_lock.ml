@@ -150,26 +150,10 @@ let collect_locks_lazy (aliases : Analysis.Alias.resolution Lazy.t)
         | _ -> ())
       body.Mir.blocks
   in
-  (* Terminator-only prescan: most bodies acquire no lock at all, and
-     then the statement-level holder chase has nothing to find (holders
-     are only ever seeded from an acquisition's destination). *)
-  let has_lock_call =
-    Array.exists
-      (fun (blk : Mir.block) ->
-        match blk.Mir.term with
-        | Mir.Call (c, _) -> (
-            match c.Mir.callee with
-            | Mir.Builtin b -> lock_kind_of_builtin b <> None
-            | _ -> false)
-        | _ -> false)
-      body.Mir.blocks
-  in
-  if has_lock_call then begin
-    scan ();
-    (* the second pass resolves holder chains crossing block
-       boundaries in any order *)
-    scan ()
-  end;
+  scan ();
+  (* the second pass resolves holder chains crossing block boundaries
+     in any order *)
+  scan ();
   t
 
 let collect_locks (aliases : Analysis.Alias.resolution) (body : Mir.body) :
@@ -278,8 +262,7 @@ let locks_key : (body_locks * Flow.result) Analysis.Cache.Ext.key =
 let locks_of (ctx : Analysis.Cache.t) (body : Mir.body) :
     body_locks * Flow.result =
   Analysis.Cache.ext ctx locks_key body ~compute:(fun b ->
-      (* aliases forced only when the prescan finds a lock call, so
-         lockless bodies never pay for alias resolution here *)
+      (* aliases forced only once an acquisition is found *)
       let locks = collect_locks_lazy (lazy (Analysis.Cache.aliases ctx b)) b in
       (locks, held_analysis b locks))
 
@@ -290,8 +273,10 @@ let locks_of (ctx : Analysis.Cache.t) (body : Mir.body) :
 type summary_entry = {
   se_root : Analysis.Alias.t;  (** in terms of the callee's params/statics *)
   se_kind : lock_kind;
-  se_span : Support.Span.t;
 }
+
+let entry_equal a b =
+  a.se_kind = b.se_kind && Analysis.Alias.equal a.se_root b.se_root
 
 type summaries = (string, summary_entry list) Hashtbl.t
 
@@ -354,19 +339,31 @@ let calls_of (ctx : Analysis.Cache.t) (body : Mir.body) :
              | _ -> acc)
            [] b.Mir.blocks))
 
-(* Bound on one function's summary: entry lists concatenate up the call
-   graph without dedup (distinct spans keep even same-lock entries
-   distinct), so on wide or cyclic graphs the converged lists — not the
-   engine walking them — can grow combinatorially. Every function keeps
-   its first [summary_cap] exportable entries; real programs sit far
-   below it (the whole corpus stays under a handful per function), so
-   the cap only bites on adversarial call graphs. Shared by both
-   interprocedural modes, keeping their findings aligned. *)
+(* Bound on one function's summary. A summary is a set of distinct
+   (lock path, kind) entries, so the cap only binds on a function that
+   reaches more than [summary_cap] distinct lock paths; real programs
+   sit far below it (the whole corpus stays under a handful per
+   function). Every function keeps its first [summary_cap] exportable
+   entries. Shared by both interprocedural modes, keeping their
+   findings aligned. *)
 let summary_cap = 32
 
-let rec take k = function
-  | x :: tl when k > 0 -> x :: take (k - 1) tl
-  | _ -> []
+(* The first [summary_cap] distinct exportable entries, in order of
+   first occurrence. *)
+let dedup_exportable entries =
+  let rec go k seen = function
+    | e :: tl when k > 0 ->
+        if (not (exportable e)) || List.exists (entry_equal e) seen then
+          go k seen tl
+        else e :: go (k - 1) (e :: seen) tl
+    | _ -> []
+  in
+  go summary_cap [] entries
+
+(* Convergence test of both fixpoints: the same set of entries. *)
+let same_entries a b =
+  List.length a = List.length b
+  && List.for_all (fun e -> List.exists (entry_equal e) b) a
 
 (* Recompute one function's summary from its own acquisitions plus its
    callees' current summaries. Both interprocedural modes — the legacy
@@ -376,16 +373,15 @@ let rec take k = function
    returning [None] or [Some []] both mean "callee adds nothing". *)
 let summary_of_body ~(lookup : string -> summary_entry list option)
     (ctx : Analysis.Cache.t) (body : Mir.body) : summary_entry list =
-  let locks = fst (locks_of ctx body) in
   let aliases = lazy (Analysis.Cache.aliases ctx body) in
   let direct =
-    Hashtbl.fold
-      (fun _ a acc ->
-        if a.acq_try then acc
-        else
-          { se_root = a.acq_root; se_kind = a.acq_kind; se_span = a.acq_span }
-          :: acc)
-      locks.acquisitions []
+    if not (Gate.double_lock (Analysis.Cache.sites ctx body)) then []
+    else
+      Hashtbl.fold
+        (fun _ a acc ->
+          if a.acq_try then acc
+          else { se_root = a.acq_root; se_kind = a.acq_kind } :: acc)
+        (fst (locks_of ctx body)).acquisitions []
   in
   let from_calls =
     List.fold_left
@@ -396,16 +392,7 @@ let summary_of_body ~(lookup : string -> summary_entry list option)
         | _ -> acc)
       [] (calls_of ctx body)
   in
-  take summary_cap (List.filter exportable (direct @ from_calls))
-
-(* No acquisition anywhere: every summary is empty, and an absent entry
-   reads the same as an empty one — both modes skip the call-site
-   resolution and the fixpoint entirely. *)
-let lock_free (ctx : Analysis.Cache.t) (bodies : Mir.body list) : bool =
-  List.for_all
-    (fun (b : Mir.body) ->
-      Hashtbl.length (fst (locks_of ctx b)).acquisitions = 0)
-    bodies
+  dedup_exportable (direct @ from_calls)
 
 (* Replay mode: the legacy whole-program chaotic fixpoint, kept behind
    [--interproc=replay] for differential testing. Iterates every body
@@ -415,7 +402,9 @@ let lock_free (ctx : Analysis.Cache.t) (bodies : Mir.body list) : bool =
 let compute_summaries (ctx : Analysis.Cache.t) : summaries =
   let tbl : summaries = Hashtbl.create 16 in
   let bodies = Mir.body_list (Analysis.Cache.program ctx) in
-  if lock_free ctx bodies then tbl
+  (* no acquisition anywhere: every summary is empty, and an absent
+     entry reads the same as an empty one *)
+  if not (Gate.double_lock (Analysis.Cache.program_sites ctx)) then tbl
   else begin
     List.iter
       (fun (b : Mir.body) -> Hashtbl.replace tbl b.Mir.fn_id [])
@@ -429,7 +418,7 @@ let compute_summaries (ctx : Analysis.Cache.t) : summaries =
         (fun (b : Mir.body) ->
           let all = summary_of_body ~lookup:(Hashtbl.find_opt tbl) ctx b in
           let cur = Hashtbl.find tbl b.Mir.fn_id in
-          if List.length all <> List.length cur then begin
+          if not (same_entries all cur) then begin
             Hashtbl.replace tbl b.Mir.fn_id all;
             changed := true
           end)
@@ -445,16 +434,14 @@ let summary_tbl_key : summaries Analysis.Cache.Ext.key =
 let summary_client ctx : summary_entry list Analysis.Summary.client =
   {
     Analysis.Summary.name = "double_lock";
-    (* the replay fixpoint detects change by length; a converged list
-       can only differ in length, so the engine matches it *)
-    equal = (fun a b -> List.length a = List.length b);
+    equal = same_entries;
     compute = (fun ~lookup body -> summary_of_body ~lookup ctx body);
   }
 
 let engine_summaries ?domains (ctx : Analysis.Cache.t) : summaries =
   Analysis.Cache.ext_program ctx summary_tbl_key ~compute:(fun () ->
-      let bodies = Mir.body_list (Analysis.Cache.program ctx) in
-      if lock_free ctx bodies then Hashtbl.create 1
+      if not (Gate.double_lock (Analysis.Cache.program_sites ctx)) then
+        Hashtbl.create 1
       else Analysis.Summary.compute ?domains ctx (summary_client ctx))
 
 (* ------------------------------------------------------------------ *)
@@ -581,7 +568,7 @@ let run_ctx ?(interprocedural = true) ?mode (ctx : Analysis.Cache.t) :
       | Analysis.Summary.Replay -> compute_summaries ctx
   in
   List.concat_map (check_body ctx summaries)
-    (Mir.body_list (Analysis.Cache.program ctx))
+    (Gate.select ctx "double_lock" ~gate:Gate.double_lock)
 
 (** Run the double-lock detector over a whole program. *)
 let run ?interprocedural ?mode (program : Mir.program) : Report.finding list =

@@ -47,6 +47,16 @@ val locks_of :
     through the analysis context with the lock-order and atomicity
     detectors. *)
 
+type summaries
+(** Per-function lock-acquisition summaries. *)
+
+val compute_summaries : Analysis.Cache.t -> summaries
+(** The legacy whole-program replay fixpoint. *)
+
+val check_body :
+  Analysis.Cache.t -> summaries -> Mir.body -> Report.finding list
+(** One body, ungated: [run_ctx] applies {!Gate.double_lock} first. *)
+
 val run_ctx :
   ?interprocedural:bool ->
   ?mode:Analysis.Summary.mode ->

@@ -70,9 +70,14 @@ let run_body (body : Mir.body) : Report.finding list =
   check_body (Analysis.Pointsto.analyze body) body
 
 let run_ctx (ctx : Analysis.Cache.t) : Report.finding list =
+  let gate s = Gate.invalid_free s || Gate.invalid_free_uninit s in
   List.concat_map
-    (fun b -> check_body (Analysis.Cache.pointsto ctx b) b @ Uninit.uninit_drop b)
-    (Mir.body_list (Analysis.Cache.program ctx))
+    (fun b ->
+      let s = Analysis.Cache.sites ctx b in
+      (if Gate.invalid_free s then check_body (Analysis.Cache.pointsto ctx b) b
+       else [])
+      @ if Gate.invalid_free_uninit s then Uninit.uninit_drop b else [])
+    (Gate.select ctx "invalid_free" ~gate)
 
 let run (program : Mir.program) : Report.finding list =
   run_ctx (Analysis.Cache.create program)

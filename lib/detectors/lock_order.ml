@@ -17,8 +17,9 @@ type edge = {
 }
 
 let substituted_pairs_ctx (ctx : Analysis.Cache.t) : edge list =
-  let program = Analysis.Cache.program ctx in
-  let cg = Analysis.Cache.callgraph ctx in
+  (* built only for the first body with a pair (two acquisitions in
+     one body), so lock-poor programs never pay for it *)
+  let cg = lazy (Analysis.Cache.callgraph ctx) in
   let edges = ref [] in
   List.iter
     (fun (body : Mir.body) ->
@@ -30,7 +31,7 @@ let substituted_pairs_ctx (ctx : Analysis.Cache.t) : edge list =
           List.filter
             (fun (e : Analysis.Callgraph.edge) ->
               String.equal e.Analysis.Callgraph.target body.Mir.fn_id)
-            (Analysis.Callgraph.spawn_edges cg)
+            (Analysis.Callgraph.spawn_edges (Lazy.force cg))
         in
         let contexts =
           match spawn_sites with
@@ -62,7 +63,7 @@ let substituted_pairs_ctx (ctx : Analysis.Cache.t) : edge list =
               pairs)
           contexts
       end)
-    (Mir.body_list program);
+    (Gate.select ctx "lock_order" ~gate:Gate.lock_order);
   !edges
 
 let substituted_pairs (program : Mir.program) : edge list =

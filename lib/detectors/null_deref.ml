@@ -127,9 +127,8 @@ let run_body (body : Mir.body) : Report.finding list =
       | `Term _ -> ());
   !findings
 
-let run (program : Mir.program) : Report.finding list =
-  List.concat_map run_body (Mir.body_list program)
-
-(* null-deref uses no cached analyses; ctx entry point for uniformity *)
 let run_ctx (ctx : Analysis.Cache.t) : Report.finding list =
-  run (Analysis.Cache.program ctx)
+  List.concat_map run_body (Gate.select ctx "null_deref" ~gate:Gate.null_deref)
+
+let run (program : Mir.program) : Report.finding list =
+  run_ctx (Analysis.Cache.create program)

@@ -21,30 +21,41 @@ let call_once_roots_with (aliases : Analysis.Alias.resolution)
 
 let run_ctx (ctx : Analysis.Cache.t) : Report.finding list =
   let program = Analysis.Cache.program ctx in
-  let cg = Analysis.Cache.callgraph ctx in
-  let findings = ref [] in
-  List.iter
-    (fun (e : Analysis.Callgraph.edge) ->
-      if e.Analysis.Callgraph.kind = Analysis.Callgraph.Once_closure then begin
-        (* functions reachable from the closure *)
-        let reach = Analysis.Callgraph.reachable cg e.Analysis.Callgraph.target in
-        let nested_call_once =
-          List.exists
-            (fun f ->
-              match Mir.find_body program f with
-              | Some b -> call_once_roots_with (Analysis.Cache.aliases ctx b) b <> []
-              | None -> false)
-            reach
-        in
-        if nested_call_once then
-          findings :=
-            Report.make ~kind:Report.Double_lock
-              ~fn_id:e.Analysis.Callgraph.caller ~span:e.Analysis.Callgraph.site
-              "the closure passed to Once::call_once reaches another call_once; recursive initialization self-deadlocks"
-            :: !findings
-      end)
-    cg.Analysis.Callgraph.edges;
-  !findings
+  (* both the outer and the nested site are [call_once] calls: without
+     one anywhere there is no [Once_closure] edge to follow *)
+  match Gate.select ctx "once" ~gate:Gate.once with
+  | [] -> []
+  | _ ->
+      let cg = Analysis.Cache.callgraph ctx in
+      let findings = ref [] in
+      List.iter
+        (fun (e : Analysis.Callgraph.edge) ->
+          if e.Analysis.Callgraph.kind = Analysis.Callgraph.Once_closure then begin
+            (* functions reachable from the closure *)
+            let reach =
+              Analysis.Callgraph.reachable cg e.Analysis.Callgraph.target
+            in
+            let nested_call_once =
+              List.exists
+                (fun f ->
+                  match Mir.find_body program f with
+                  | Some b ->
+                      Gate.once (Analysis.Cache.sites ctx b)
+                      && call_once_roots_with (Analysis.Cache.aliases ctx b) b
+                         <> []
+                  | None -> false)
+                reach
+            in
+            if nested_call_once then
+              findings :=
+                Report.make ~kind:Report.Double_lock
+                  ~fn_id:e.Analysis.Callgraph.caller
+                  ~span:e.Analysis.Callgraph.site
+                  "the closure passed to Once::call_once reaches another call_once; recursive initialization self-deadlocks"
+                :: !findings
+          end)
+        cg.Analysis.Callgraph.edges;
+      !findings
 
 let run (program : Mir.program) : Report.finding list =
   run_ctx (Analysis.Cache.create program)

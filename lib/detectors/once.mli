@@ -3,5 +3,9 @@
 
 open Ir
 
+val call_once_roots_with : Analysis.Alias.resolution -> Mir.body -> string list
+(** Lock paths of the [Once] receivers of the body's [call_once] calls,
+    ungated. *)
+
 val run_ctx : Analysis.Cache.t -> Report.finding list
 val run : Mir.program -> Report.finding list

@@ -154,7 +154,7 @@ let run_body (body : Mir.body) : Report.finding list =
 let run_ctx (ctx : Analysis.Cache.t) : Report.finding list =
   List.concat_map
     (fun b -> check_body (Analysis.Cache.aliases ctx b) b)
-    (Mir.body_list (Analysis.Cache.program ctx))
+    (Gate.select ctx "refcell" ~gate:Gate.refcell)
 
 let run (program : Mir.program) : Report.finding list =
   run_ctx (Analysis.Cache.create program)

@@ -258,18 +258,6 @@ let callee_derefs_arg ?(assume_extern_derefs = true) (summaries : summaries)
 
 let check_body ?(assume_extern_derefs = true) (ctx : Analysis.Cache.t)
     (summaries : summaries) (body : Mir.body) : Report.finding list =
-  (* Every check below fires only on a dereference of a raw-pointer- or
-     reference-typed base, so a body without a single pointer-typed
-     local cannot report — skip it before paying for its points-to and
-     storage analyses. *)
-  if
-    not
-      (Array.exists
-         (fun (li : Mir.local_info) ->
-           Sema.Ty.is_raw_ptr li.Mir.l_ty || Sema.Ty.is_ref li.Mir.l_ty)
-         body.Mir.locals)
-  then []
-  else begin
   let pts = Analysis.Cache.pointsto ctx body in
   let invalid = Analysis.Cache.storage ctx body in
   let findings = ref [] in
@@ -497,7 +485,6 @@ let check_body ?(assume_extern_derefs = true) (ctx : Analysis.Cache.t)
   if !stopped then
     Analysis.Cache.deadline_warning ctx body.Mir.fn_id "use-after-free replay";
   !findings
-  end
 
 (** Run the use-after-free detector with a shared analysis context.
     [?mode] picks the SCC-scheduled summary engine vs the legacy replay
@@ -512,7 +499,7 @@ let run_ctx ?(assume_extern_derefs = true) ?mode (ctx : Analysis.Cache.t) :
   in
   List.concat_map
     (check_body ~assume_extern_derefs ctx summaries)
-    (Mir.body_list (Analysis.Cache.program ctx))
+    (Gate.select ctx "uaf" ~gate:Gate.uaf)
 
 (** Run the use-after-free detector over a whole program. *)
 let run ?assume_extern_derefs ?mode (program : Mir.program) :

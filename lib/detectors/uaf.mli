@@ -27,7 +27,8 @@ val check_body :
   summaries ->
   Mir.body ->
   Report.finding list
-(** Run the detector on one body with precomputed summaries. *)
+(** Run the detector on one body with precomputed summaries, ungated:
+    [run_ctx] applies {!Gate.uaf} first. *)
 
 val run_ctx :
   ?assume_extern_derefs:bool ->

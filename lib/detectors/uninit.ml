@@ -284,11 +284,17 @@ let run_body (body : Mir.body) : Report.finding list =
   check_body (Analysis.Pointsto.analyze body) body
 
 let run_ctx (ctx : Analysis.Cache.t) : Report.finding list =
+  let gate s = Gate.uninit s || Gate.uninit_set_len s in
   List.concat_map
     (fun b ->
-      check_body (Analysis.Cache.pointsto ctx b) b
-      @ set_len_reads_with (Analysis.Cache.aliases ctx b) b)
-    (Mir.body_list (Analysis.Cache.program ctx))
+      let s = Analysis.Cache.sites ctx b in
+      (if Gate.uninit s then check_body (Analysis.Cache.pointsto ctx b) b
+       else [])
+      @
+      if Gate.uninit_set_len s then
+        set_len_reads_with (Analysis.Cache.aliases ctx b) b
+      else [])
+    (Gate.select ctx "uninit" ~gate)
 
 let run (program : Mir.program) : Report.finding list =
   run_ctx (Analysis.Cache.create program)

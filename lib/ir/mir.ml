@@ -237,6 +237,96 @@ let is_try_lock = function
   | MutexTryLock | RwTryRead | RwTryWrite -> true
   | _ -> false
 
+(* ------------------------------------------------------------------ *)
+(* Construct index: the sites a detector can fire on                   *)
+(* ------------------------------------------------------------------ *)
+
+(** Bits of a body's construct index ({!sites}). Each is one kind of
+    MIR site some detector needs before it can report; a detector
+    whose sites are absent skips the body without forcing any
+    analysis of it. *)
+module Site = struct
+  let addr_local = 1 lsl 0  (* [&x] / [&raw x] of a place with no deref *)
+  let ptr_local = 1 lsl 1  (* a raw-pointer- or reference-typed local *)
+  let null_src = 1 lsl 2  (* [ptr::null()] or [0 as *T] *)
+  let ptr_read = 1 lsl 3
+  let from_raw2 = 1 lsl 4  (* two or more [from_raw] calls *)
+  let drop_deref = 1 lsl 5  (* [Drop] of a place projecting a deref *)
+  let heap = 1 lsl 6  (* [Alloc], [alloc] or a [T::new] constructor *)
+  let mem_uninit = 1 lsl 7
+  let set_len = 1 lsl 8
+  let unchecked = 1 lsl 9  (* [get_unchecked], [offset], [copy_nonoverlapping] *)
+  let refcell = 1 lsl 10  (* [RefCell::borrow] / [borrow_mut] *)
+  let atomic_load = 1 lsl 11
+  let atomic_store = 1 lsl 12
+  let condvar = 1 lsl 13  (* [wait] / [notify_one] / [notify_all] *)
+  let channel = 1 lsl 14  (* [send] / [recv] *)
+  let lock = 1 lsl 15  (* any lock-acquiring call, [try_] variants too *)
+  let lock2 = 1 lsl 16  (* two or more lock-acquiring calls *)
+  let call_once = 1 lsl 17
+  let store_through = 1 lsl 18
+      (* assignment to a deref place, [Cell::set] or [ptr::write] *)
+
+  let all s bits = s land bits = bits
+  let any s bits = s land bits <> 0
+end
+
+(** The construct index of a body: the {!Site} bits of every site in
+    it, in one pass. Pure; [Analysis.Cache.sites] memoises it. *)
+let sites (b : body) : int =
+  let s = ref 0 and locks = ref 0 and from_raws = ref 0 in
+  let add bit = s := !s lor bit in
+  let has_deref p = List.mem Deref p.proj in
+  if
+    Array.exists
+      (fun li -> Sema.Ty.is_raw_ptr li.l_ty || Sema.Ty.is_ref li.l_ty)
+      b.locals
+  then add Site.ptr_local;
+  Array.iter
+    (fun blk ->
+      List.iter
+        (fun st ->
+          match st.kind with
+          | Assign (dest, rv) -> (
+              if has_deref dest then add Site.store_through;
+              match rv with
+              | Ref (_, p) | AddrOf (_, p) ->
+                  if not (has_deref p) then add Site.addr_local
+              | Cast (Const (Cint 0), _) -> add Site.null_src
+              | Alloc _ -> add Site.heap
+              | _ -> ())
+          | Drop p -> if has_deref p then add Site.drop_deref
+          | StorageLive _ | StorageDead _ | Nop -> ())
+        blk.stmts;
+      match blk.term with
+      | Call ({ callee = Builtin bi; _ }, _) -> (
+          match bi with
+          | MutexLock | MutexTryLock | RwRead | RwTryRead | RwWrite
+          | RwTryWrite ->
+              incr locks
+          | FromRaw -> incr from_raws
+          | PtrNull -> add Site.null_src
+          | PtrRead -> add Site.ptr_read
+          | HeapAlloc | CtorNew _ -> add Site.heap
+          | MemUninit -> add Site.mem_uninit
+          | VecSetLen -> add Site.set_len
+          | VecGetUnchecked | PtrOffset | PtrCopy -> add Site.unchecked
+          | RefCellBorrow | RefCellBorrowMut -> add Site.refcell
+          | AtomicLoad -> add Site.atomic_load
+          | AtomicStore -> add Site.atomic_store
+          | CondvarWait | CondvarNotifyOne | CondvarNotifyAll ->
+              add Site.condvar
+          | ChannelSend | ChannelRecv -> add Site.channel
+          | OnceCallOnce -> add Site.call_once
+          | CellSet | PtrWrite -> add Site.store_through
+          | _ -> ())
+      | _ -> ())
+    b.blocks;
+  if !locks >= 1 then add Site.lock;
+  if !locks >= 2 then add Site.lock2;
+  if !from_raws >= 2 then add Site.from_raw2;
+  !s
+
 let builtin_name = function
   | MutexLock -> "Mutex::lock"
   | MutexTryLock -> "Mutex::try_lock"

@@ -96,8 +96,17 @@ let analysis_counts =
 
 let cache_stats_hits =
   case "shared context records cache hits" (fun () ->
-      let e = List.hd Corpus.all_bugs in
-      let ctx = Analysis.Cache.create (load_entry e) in
+      (* [&task] lets use-after-free in and [ptr::read] lets double-free
+         in: both read this body's points-to, so the second is a hit. *)
+      let src =
+        {|
+fn steal_task() {
+    let task = vec![1u8, 2u8, 3u8];
+    let stolen = unsafe { ptr::read(&task) };
+}
+|}
+      in
+      let ctx = Analysis.Cache.create (Rustudy.load ~file:"steal.rs" src) in
       ignore (Detectors.All.bugs_ctx ctx);
       let s = Analysis.Cache.stats ctx in
       Alcotest.(check bool)

@@ -264,6 +264,33 @@ pub fn entry(m: Arc<Mutex<u64>>, p: *const u8) {
 }
 |}
 
+let ring_src =
+  {|
+pub unsafe fn a0(m: Arc<Mutex<u64>>, p: *const u8) -> u8 {
+    let v = a1(m, p);
+    v
+}
+pub unsafe fn a1(m: Arc<Mutex<u64>>, p: *const u8) -> u8 {
+    let v = a2(m, p);
+    v
+}
+pub unsafe fn a2(m: Arc<Mutex<u64>>, p: *const u8) -> u8 {
+    let v = a3(m, p);
+    v
+}
+pub unsafe fn a3(m: Arc<Mutex<u64>>, p: *const u8) -> u8 {
+    let v = a0(m, p);
+    let g = m.lock().unwrap();
+    let x = *p;
+    x
+}
+pub unsafe fn entry(m: Arc<Mutex<u64>>, p: *const u8) -> u8 {
+    let g = m.lock().unwrap();
+    let v = a0(m, p);
+    v
+}
+|}
+
 let recursion =
   [
     case "mutually recursive SCC converges and matches replay" (fun () ->
@@ -276,12 +303,12 @@ let recursion =
         Alcotest.(check bool)
           "ping/pong share a component" true
           (Array.exists (fun ms -> Array.length ms = 2) scc.Scc.members);
-        (* A recursive cycle keeps duplicating lock-path entries until
-           a round cap fires, and the two modes cap differently (5
-           whole-program rounds vs 8 SCC-local rounds) — so on
-           divergent synthetic recursion only the *distinct* findings
-           are comparable. The corpus/mutant suites above pin the
-           byte-level identity where both fixpoints genuinely
+        (* A recursive cycle whose summaries keep growing is cut by
+           round caps that differ between the modes (5 whole-program
+           rounds vs 8 SCC-local rounds), so on synthetic recursion
+           only the *distinct* findings are compared here. The
+           corpus/mutant suites above and the lock-cycle case below
+           pin the byte-level identity where both fixpoints
            converge. *)
         let distinct run =
           List.sort_uniq compare
@@ -297,6 +324,20 @@ let recursion =
           "distinct uaf findings agree"
           (distinct (fun () -> Detectors.Uaf.run ~mode:Summary.Replay p))
           (distinct (fun () -> Detectors.Uaf.run ~mode:Summary.Summary p)));
+    case "a held guard across a call into a lock cycle reports once"
+      (fun () ->
+        (* every member of the a0..a3 cycle reaches the same
+           (param0, Mutex) acquisition along every lap; a summary is a
+           set of (lock path, kind) entries, so the laps add nothing
+           and the one interprocedural double lock is one line *)
+        let p = Rustudy.load ~file:"ring.rs" ring_src in
+        let run mode = render (Detectors.Double_lock.run ~mode p) in
+        let s = run Summary.Summary in
+        Alcotest.(check int) "one finding line" 1
+          (List.length (String.split_on_char '\n' s));
+        Alcotest.(check bool) "reported in entry" true
+          (String.starts_with ~prefix:"[double-lock] bug in `entry`" s);
+        Alcotest.(check string) "summary = replay" (run Summary.Replay) s);
   ]
 
 (* ---------------- large programs: once per context ---------------- *)

@@ -25,4 +25,5 @@ let () =
       ("flight", T_flight.suite);
       ("summary", T_summary.suite);
       ("oracle", T_oracle.suite);
+      ("sites", T_sites.suite);
     ]
