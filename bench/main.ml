@@ -1,7 +1,9 @@
 (* Benchmark harness: one Bechamel test per paper table/figure, the two
    headline detectors, the §4.1 safe-vs-unsafe microbenchmarks, the
-   three design-choice ablations from DESIGN.md, and the analysis-cache
-   corpus timings (cached vs uncached, sequential vs parallel).
+   three design-choice ablations from DESIGN.md, the frontend's
+   per-stage allocation on a 3000-function program, and the
+   analysis-cache corpus timings (cached vs uncached, sequential vs
+   parallel).
 
    Run with: dune exec bench/main.exe [-- FLAGS]
    --json            additionally writes BENCH_results.json in the cwd
@@ -825,6 +827,77 @@ let print_frontend (fe : frontend_stats) =
     (float_of_int fe.fe_mutated_bytes /. float_of_int fe.fe_clean_bytes)
 
 (* ------------------------------------------------------------------ *)
+(* Frontend memory per stage (frontend/lower_scale)                    *)
+(* ------------------------------------------------------------------ *)
+
+(* What parse, typeck and lower cost a large program in allocation,
+   not only in time: the AST and the MIR live until exit, so every word
+   they keep is promoted and then scanned by every major cycle.
+   Informational rows, never gated. *)
+let lower_scale_n = 3000
+
+type stage_mem = {
+  sm_stage : string;
+  sm_ms : float;  (** best wall time of three runs *)
+  sm_minor : float;  (** minor words the stage allocated *)
+  sm_promoted : float;  (** of those, words promoted to the major heap *)
+  sm_live : int;  (** words reachable from the stage's result *)
+}
+
+(* Each run starts from a full major collection and ends with a minor
+   one, so promoted words include what the stage leaves in the minor
+   heap when it returns. The word counts are the last run's (they do
+   not vary between runs). The result of each stage holds the previous
+   stage's, so live words are cumulative. *)
+let stage_mem name f =
+  let run () =
+    Gc.full_major ();
+    let mi0 = Gc.minor_words () in
+    let _, pr0, _ = Gc.counters () in
+    let t0 = Unix.gettimeofday () in
+    let r = f () in
+    let t = Unix.gettimeofday () -. t0 in
+    let mi1 = Gc.minor_words () in
+    Gc.minor ();
+    let _, pr1, _ = Gc.counters () in
+    (r, t, mi1 -. mi0, pr1 -. pr0)
+  in
+  let _, t1, _, _ = run () in
+  let _, t2, _, _ = run () in
+  let r, t3, minor, promoted = run () in
+  ( r,
+    {
+      sm_stage = name;
+      sm_ms = 1e3 *. List.fold_left min t1 [ t2; t3 ];
+      sm_minor = minor;
+      sm_promoted = promoted;
+      sm_live = Obj.reachable_words (Obj.repr r);
+    } )
+
+let lower_scale_bench () : stage_mem list =
+  let file = Printf.sprintf "lower_scale_%d.rs" lower_scale_n in
+  let src =
+    Scale_gen.program ~seed:scale_seed ~shape:Scale_gen.Diamond ~n:lower_scale_n
+  in
+  let crate, parse =
+    stage_mem "parse" (fun () -> Rustudy.Parser.parse_crate ~file src)
+  in
+  let env, typeck = stage_mem "typeck" (fun () -> Rustudy.Env.of_crate crate) in
+  let _, lower = stage_mem "lower" (fun () -> Rustudy.Lower.lower_crate env) in
+  [ parse; typeck; lower ]
+
+let print_lower_scale rows =
+  Printf.printf "== frontend/lower_scale (diamond, %d functions) ==\n"
+    lower_scale_n;
+  Printf.printf "  %-8s %10s %14s %14s %14s\n" "stage" "wall ms" "minor words"
+    "promoted words" "live words";
+  List.iter
+    (fun r ->
+      Printf.printf "  %-8s %10.2f %14.0f %14.0f %14d\n" r.sm_stage r.sm_ms
+        r.sm_minor r.sm_promoted r.sm_live)
+    rows
+
+(* ------------------------------------------------------------------ *)
 (* Supervisor timings and counters                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -1277,8 +1350,8 @@ let compare_against ~replicate path (rows : (string * float) list) : bool =
 (* ------------------------------------------------------------------ *)
 
 let write_json path (rows : (string * float) list) (c : corpus_timings)
-    ?replicate ~frontend ~supervisor ~server ~oracle ~ratio_index ~ratio_copy
-    () =
+    ?replicate ~frontend ~lower_scale ~supervisor ~server ~oracle ~ratio_index
+    ~ratio_copy () =
   let oc = open_out path in
   let field k v =
     Printf.fprintf oc "    \"%s\": %s" (Support.Sjson.escape k) v
@@ -1396,6 +1469,21 @@ let write_json path (rows : (string * float) list) (c : corpus_timings)
        field name v)
      ff;
    output_string oc "\n  },\n");
+  output_string oc "  \"frontend_lower_scale\": {\n";
+  field "functions" (string_of_int lower_scale_n);
+  List.iter
+    (fun r ->
+      let k suffix = r.sm_stage ^ "_" ^ suffix in
+      output_string oc ",\n";
+      field (k "ms") (Printf.sprintf "%.3f" r.sm_ms);
+      output_string oc ",\n";
+      field (k "minor_words") (Printf.sprintf "%.0f" r.sm_minor);
+      output_string oc ",\n";
+      field (k "promoted_words") (Printf.sprintf "%.0f" r.sm_promoted);
+      output_string oc ",\n";
+      field (k "live_words") (string_of_int r.sm_live))
+    lower_scale;
+  output_string oc "\n  },\n";
   (match replicate with
   | None -> ()
   | Some r ->
@@ -1597,6 +1685,9 @@ let () =
     let frontend = frontend_bench () in
     print_frontend frontend;
     print_newline ();
+    let lower_scale = lower_scale_bench () in
+    print_lower_scale lower_scale;
+    print_newline ();
     recall_summary ();
     print_newline ();
     let rows =
@@ -1651,7 +1742,7 @@ let () =
       ratio_index ratio_copy;
     if json then begin
       write_json "BENCH_results.json" rows corpus ?replicate:rep ~frontend
-        ~supervisor ~server
+        ~lower_scale ~supervisor ~server
         ~oracle:(Lazy.force oracle_counters)
         ~ratio_index ~ratio_copy ();
       print_endline "wrote BENCH_results.json"

@@ -41,17 +41,24 @@ type scope = {
 
 type frame = { mutable ftemps : Mir.local list }
 
+(* Variables in scope, innermost first, with their locals and with
+   their types in the form type checking reads. *)
+type vars = {
+  locals_of : (string * Mir.local) list;
+  gamma : Sema.Typeck.gamma;
+}
+
 type fb = {
   env : Sema.Env.t;
   config : config;
   fn_id : string;
-  mutable locals : Mir.local_info list;  (** reversed *)
+  mutable locals : Mir.local_info array;  (** indices < [n_locals] live *)
   mutable n_locals : int;
   mutable blocks : blockbuf array;  (** arena; indices < [n_blocks] live *)
   mutable n_blocks : int;
   mutable cur : int;
   mutable curbuf : blockbuf;  (** [blocks.(cur)], cached for [emit] *)
-  mutable gamma : (string * Mir.local) list;
+  mutable vars : vars;
   mutable scopes : scope list;
   mutable frames : frame list;
   mutable loops : (int * int * int) list;
@@ -105,24 +112,44 @@ let set_term fb ?(span = Span.dummy) term =
     fb.terminated <- true
   end
 
+(* Shared filler for unused local slots, as [no_block]. *)
+let no_local : Mir.local_info =
+  {
+    Mir.l_name = None;
+    l_ty = Ty.Unknown;
+    l_mut = false;
+    l_user = false;
+    l_span = Span.dummy;
+  }
+
 let new_local fb ?name ?(mut = false) ?(user = false) ?(span = Span.dummy) ty =
   let id = fb.n_locals in
+  if id = Array.length fb.locals then begin
+    let a = Array.make (2 * id) no_local in
+    Array.blit fb.locals 0 a 0 id;
+    fb.locals <- a
+  end;
+  Array.unsafe_set fb.locals id
+    { Mir.l_name = name; l_ty = ty; l_mut = mut; l_user = user; l_span = span };
   fb.n_locals <- id + 1;
-  fb.locals <-
-    { Mir.l_name = name; l_ty = ty; l_mut = mut; l_user = user; l_span = span }
-    :: fb.locals;
   id
 
-let local_info fb l = List.nth fb.locals (fb.n_locals - 1 - l)
+let local_info fb l = fb.locals.(l)
 let local_ty fb l = (local_info fb l).Mir.l_ty
 
-let lookup_var fb name = List.assoc_opt name fb.gamma
+let lookup_var fb name = List.assoc_opt name fb.vars.locals_of
 
-let gamma_types fb : Sema.Typeck.gamma =
-  List.map (fun (n, l) -> (n, local_ty fb l)) fb.gamma
+(* Bring [name] into scope as local [l]. *)
+let bind_var fb name l =
+  let v = fb.vars in
+  fb.vars <-
+    {
+      locals_of = (name, l) :: v.locals_of;
+      gamma = (name, local_ty fb l) :: v.gamma;
+    }
 
 let type_of fb (e : Ast.expr) : Ty.t =
-  Sema.Typeck.type_of_expr fb.env (gamma_types fb) e
+  Sema.Typeck.type_of_expr fb.env fb.vars.gamma e
 
 let mark_moved fb (p : Mir.place) =
   if Mir.place_is_local p then Hashtbl.replace fb.moved p.Mir.base ()
@@ -133,14 +160,14 @@ let mark_moved fb (p : Mir.place) =
    scope-end drop. *)
 let consume fb (p : Mir.place) ty : Mir.operand =
   ignore fb;
-  if Ty.is_copy ty || not (Ty.needs_drop ty) then Mir.Copy p else Mir.Move p
+  if Ty.is_copy ty || not (Ty.needs_drop ty) then Mir.copy p else Mir.move p
 
 (* Record that an operand's value has been consumed by value: its
    source local no longer owns the value and must not be dropped at
    scope end. *)
 let sink fb (op : Mir.operand) =
   match op with
-  | Mir.Move pl -> mark_moved fb { pl with Mir.proj = [] }
+  | Mir.Move pl -> mark_moved fb (Mir.local_place pl.Mir.base)
   | Mir.Copy _ | Mir.Const _ -> ()
 
 let sink_rvalue fb (rv : Mir.rvalue) =
@@ -175,7 +202,7 @@ let drop_and_kill fb ?(span = Span.dummy) l =
   if Ty.needs_drop ty && not (Hashtbl.mem fb.moved l)
      && not (Hashtbl.mem fb.uninit l)
   then emit fb ~span (Mir.Drop (Mir.local_place l));
-  emit fb ~span (Mir.StorageDead l)
+  emit fb ~span (Mir.storage_dead l)
 
 let pop_frame fb ?(span = Span.dummy) () =
   match fb.frames with
@@ -417,7 +444,7 @@ let get_ret_local fb ~span =
   | Some l -> l
   | None ->
       let l = new_local fb ~name:"<ret>" ~span fb.ret_ty in
-      emit fb ~span (Mir.StorageLive l);
+      emit fb ~span (Mir.storage_live l);
       fb.ret_l <- Some l;
       l
 
@@ -428,7 +455,7 @@ let get_ret_local fb ~span =
 let rec as_temp fb ?(span = Span.dummy) (rv : Mir.rvalue) (ty : Ty.t) :
     Mir.local =
   let l = new_local fb ~span ty in
-  emit fb ~span (Mir.StorageLive l);
+  emit fb ~span (Mir.storage_live l);
   register_temp fb l;
   sink_rvalue fb rv;
   emit fb ~span (Mir.Assign (Mir.local_place l, rv));
@@ -463,7 +490,7 @@ and lower_place fb (e : Ast.expr) : Mir.place =
                         let l =
                           new_local fb ~name:key ~mut:sd.Ast.st_mut ~span ty
                         in
-                        fb.gamma <- (key, l) :: fb.gamma;
+                        bind_var fb key l;
                         l
                   in
                   Mir.local_place l
@@ -510,7 +537,7 @@ and lower_call fb ~span (callee : Mir.callee) (args : Mir.operand list)
     (dest_ty : Ty.t) : Mir.operand =
   List.iter (sink fb) args;
   let dest = new_local fb ~span dest_ty in
-  emit fb ~span (Mir.StorageLive dest);
+  emit fb ~span (Mir.storage_live dest);
   register_temp fb dest;
   let next = new_block fb in
   set_term fb ~span
@@ -577,7 +604,7 @@ and lower_expr fb (e : Ast.expr) : Mir.operand =
                       (Mir.Aggregate (Mir.Agg_variant ("Option", "None"), []))
                       ty
                   in
-                  Mir.Copy (Mir.local_place l)
+                  Mir.copy_local l
               | _ -> Mir.Const (Mir.Cfn (Ast.path_name p)))))
   | Ast.E_call (callee, args) -> lower_call_expr fb ~span callee args (type_of fb e)
   | Ast.E_method (recv, name, _, args) ->
@@ -590,21 +617,20 @@ and lower_expr fb (e : Ast.expr) : Mir.operand =
       let ty = place_ty fb place in
       (* reading through a pointer copies (detectors treat Copy-through-
          Deref as the use site) *)
-      if Ty.needs_drop ty then Mir.Move place else Mir.Copy place
+      if Ty.needs_drop ty then Mir.move place else Mir.copy place
   | Ast.E_unary (op, inner) ->
       let ty = type_of fb e in
       let op1 = lower_expr fb inner in
-      Mir.Copy (Mir.local_place (as_temp fb ~span (Mir.UnaryOp (op, op1)) ty))
+      Mir.copy_local (as_temp fb ~span (Mir.UnaryOp (op, op1)) ty)
   | Ast.E_binary (op, l, r) ->
       let ty = type_of fb e in
       let op1 = lower_expr fb l in
       let op2 = lower_expr fb r in
-      Mir.Copy
-        (Mir.local_place (as_temp fb ~span (Mir.BinaryOp (op, op1, op2)) ty))
+      Mir.copy_local (as_temp fb ~span (Mir.BinaryOp (op, op1, op2)) ty)
   | Ast.E_ref (m, inner) ->
       let place = lower_place fb inner in
       let ty = Ty.Ref (m, place_ty fb place) in
-      Mir.Copy (Mir.local_place (as_temp fb ~span (Mir.Ref (m, place)) ty))
+      Mir.copy_local (as_temp fb ~span (Mir.Ref (m, place)) ty)
   | Ast.E_assign (lhs, rhs) ->
       lower_assign fb ~span lhs rhs;
       Mir.Const Mir.Cunit
@@ -614,7 +640,7 @@ and lower_expr fb (e : Ast.expr) : Mir.operand =
       let rhs_op = lower_expr fb rhs in
       emit fb ~span
         (Mir.Assign
-           (lhs_place, Mir.BinaryOp (op, Mir.Copy lhs_place, rhs_op)));
+           (lhs_place, Mir.BinaryOp (op, Mir.copy lhs_place, rhs_op)));
       ignore lhs_ty;
       Mir.Const Mir.Cunit
   | Ast.E_cast (inner, ast_ty) ->
@@ -625,12 +651,11 @@ and lower_expr fb (e : Ast.expr) : Mir.operand =
       (match (inner.Ast.e, ty) with
       | Ast.E_ref (_, pe), Ty.Ptr (m, _) ->
           let place = lower_place fb pe in
-          Mir.Copy
-            (Mir.local_place (as_temp fb ~span (Mir.AddrOf (m, place)) ty))
+          Mir.copy_local (as_temp fb ~span (Mir.AddrOf (m, place)) ty)
       | _ ->
           let op = lower_expr fb inner in
           ignore inner_ty;
-          Mir.Copy (Mir.local_place (as_temp fb ~span (Mir.Cast (op, ty)) ty)))
+          Mir.copy_local (as_temp fb ~span (Mir.Cast (op, ty)) ty))
   | Ast.E_if (cond, then_blk, else_e) ->
       lower_if fb ~span cond then_blk else_e (type_of fb e)
   | Ast.E_if_let (pat, scrut, then_blk, else_e) ->
@@ -680,7 +705,7 @@ and lower_expr fb (e : Ast.expr) : Mir.operand =
       sink fb op;
       emit fb ~span (Mir.Assign (Mir.local_place rl, Mir.Use op));
       emit_exit_drops fb ~down_to_depth:0 ~span;
-      set_term fb ~span (Mir.Return (Some (Mir.Move (Mir.local_place rl))));
+      set_term fb ~span (Mir.Return (Some (Mir.move_local rl)));
       let dead = new_block fb in
       switch_to fb dead;
       Mir.Const Mir.Cunit
@@ -730,9 +755,7 @@ and lower_expr fb (e : Ast.expr) : Mir.operand =
         List.filter_map (Option.map (lower_expr fb)) [ lo; hi ]
       in
       let ty = type_of fb e in
-      Mir.Copy
-        (Mir.local_place
-           (as_temp fb ~span (Mir.Aggregate (Mir.Agg_tuple, ops)) ty))
+      Mir.copy_local (as_temp fb ~span (Mir.Aggregate (Mir.Agg_tuple, ops)) ty)
   | Ast.E_vec es ->
       let ops = List.map (lower_expr fb) es in
       let ty = type_of fb e in
@@ -781,7 +804,7 @@ and lower_call_expr fb ~span (callee : Ast.expr) (args : Ast.expr list)
             | Ty.Ptr _ -> dest_ty
             | _ -> Ty.Ptr (Mut, Ty.Prim Ty.U8)
           in
-          Mir.Copy (Mir.local_place (as_temp fb ~span (Mir.Alloc ty) ty))
+          Mir.copy_local (as_temp fb ~span (Mir.Alloc ty) ty)
       | Mir.Builtin Mir.MemDrop ->
           (* drop(x): ends x's value now; the guard-release point *)
           (match args with
@@ -874,7 +897,7 @@ and lower_method fb ~span recv name args dest_ty : Mir.operand =
         | Ty.Ptr _ -> dest_ty
         | _ -> Ty.Ptr (m, place_ty fb place)
       in
-      Mir.Copy (Mir.local_place (as_temp fb ~span (Mir.AddrOf (m, place)) ty))
+      Mir.copy_local (as_temp fb ~span (Mir.AddrOf (m, place)) ty)
   | _ -> (
       let callee = classify_method fb recv_ty name in
       (* Receivers of user methods and builtin lock/cell operations are
@@ -892,7 +915,7 @@ and lower_method fb ~span recv name args dest_ty : Mir.operand =
             | Mir.VecPop | Mir.VecGet | Mir.VecGetUnchecked | Mir.VecSetLen
             | Mir.VecLen | Mir.OnceCallOnce | Mir.ChannelSend | Mir.ChannelRecv
             | Mir.ChannelTryRecv ) ->
-            Mir.Copy (lower_place fb recv)
+            Mir.copy (lower_place fb recv)
         | Mir.Method (head, m) -> (
             match Sema.Env.find_method fb.env head m with
             | Some fd -> (
@@ -901,8 +924,8 @@ and lower_method fb ~span recv name args dest_ty : Mir.operand =
                     (* by-value self: moves the receiver *)
                     let pl = lower_place fb recv in
                     consume fb pl (place_ty fb pl)
-                | _ -> Mir.Copy (lower_place fb recv))
-            | None -> Mir.Copy (lower_place fb recv))
+                | _ -> Mir.copy (lower_place fb recv))
+            | None -> Mir.copy (lower_place fb recv))
         | Mir.Builtin (Mir.ResultUnwrap | Mir.OptionUnwrap) ->
             (* unwrap consumes the Result/Option *)
             let pl = lower_place fb recv in
@@ -922,7 +945,7 @@ and join_temp fb ~span (ty : Ty.t) : Mir.local option =
   | Ty.Prim Ty.Unit -> None
   | _ ->
       let l = new_local fb ~span ty in
-      emit fb ~span (Mir.StorageLive l);
+      emit fb ~span (Mir.storage_live l);
       register_temp fb l;
       Some l
 
@@ -987,7 +1010,7 @@ and lower_if_let fb ~span pat scrut then_blk else_e ty : Mir.operand =
   let idx = pat_variant_index fb pat in
   set_term fb ~span
     (Mir.SwitchInt
-       (Mir.Copy (Mir.local_place disc), [ (idx, then_bb) ], else_bb));
+       (Mir.copy_local disc, [ (idx, then_bb) ], else_bb));
   switch_to fb then_bb;
   push_scope fb;
   push_frame fb;
@@ -1040,9 +1063,9 @@ and bind_arm_pattern fb ~span (pat : Ast.pat) (scrut : Mir.place)
       let l =
         new_local fb ~name ~mut:(m = Ast.Mut) ~user:true ~span scrut_ty
       in
-      emit fb ~span (Mir.StorageLive l);
+      emit fb ~span (Mir.storage_live l);
       register_local fb l;
-      fb.gamma <- (name, l) :: fb.gamma;
+      bind_var fb name l;
       let op = consume fb scrut scrut_ty in
       sink fb op;
       emit fb ~span (Mir.Assign (Mir.local_place l, Mir.Use op));
@@ -1062,9 +1085,9 @@ and bind_arm_pattern fb ~span (pat : Ast.pat) (scrut : Mir.place)
           | Ast.P_ident (_, name, None) ->
               let ty = Ty.Ref (m, scrut_ty) in
               let l = new_local fb ~name ~user:true ~span ty in
-              emit fb ~span (Mir.StorageLive l);
+              emit fb ~span (Mir.storage_live l);
               register_local fb l;
-              fb.gamma <- (name, l) :: fb.gamma;
+              bind_var fb name l;
               emit fb ~span (Mir.Assign (Mir.local_place l, Mir.Ref (m, scrut)))
           | _ -> bind_arm_pattern fb ~span sub scrut scrut_ty))
   | Ast.P_tuple pats ->
@@ -1150,11 +1173,11 @@ and lower_match fb ~span scrut arms ty : Mir.operand =
     find 0 arms
   in
   set_term fb ~span
-    (Mir.SwitchInt (Mir.Copy (Mir.local_place disc), cases, default_bb));
+    (Mir.SwitchInt (Mir.copy_local disc, cases, default_bb));
   List.iteri
     (fun i (arm : Ast.arm) ->
       switch_to fb (List.nth arm_blocks i);
-      let saved_gamma = fb.gamma in
+      let saved_vars = fb.vars in
       push_scope fb;
       push_frame fb;
       bind_arm_pattern fb ~span arm.Ast.arm_pat scrut_place scrut_ty;
@@ -1170,7 +1193,7 @@ and lower_match fb ~span scrut arms ty : Mir.operand =
       pop_frame fb ~span ();
       pop_scope fb ~span ();
       set_term fb ~span (Mir.Goto join_bb);
-      fb.gamma <- saved_gamma)
+      fb.vars <- saved_vars)
     arms;
   switch_to fb join_bb;
   result_operand fb dest
@@ -1211,16 +1234,16 @@ and lower_while_let fb ~span pat scrut body =
   in
   let idx = pat_variant_index fb pat in
   set_term fb ~span
-    (Mir.SwitchInt (Mir.Copy (Mir.local_place disc), [ (idx, body_bb) ], exit_bb));
+    (Mir.SwitchInt (Mir.copy_local disc, [ (idx, body_bb) ], exit_bb));
   switch_to fb body_bb;
   fb.loops <- (header, exit_bb, List.length fb.scopes) :: fb.loops;
-  let saved_gamma = fb.gamma in
+  let saved_vars = fb.vars in
   push_scope fb;
   bind_arm_pattern fb ~span pat scrut_place scrut_ty;
   ignore (lower_block_value fb body);
   pop_scope fb ~span ();
   pop_frame fb ~span ();
-  fb.gamma <- saved_gamma;
+  fb.vars <- saved_vars;
   fb.loops <- List.tl fb.loops;
   set_term fb ~span (Mir.Goto header);
   switch_to fb exit_bb;
@@ -1251,7 +1274,7 @@ and lower_for fb ~span pat iter body =
       let hi_op = lower_expr fb hi in
       let hi_l = as_temp fb ~span (Mir.Use hi_op) Ty.usize in
       let idx = new_local fb ~name:"<for-idx>" ~mut:true ~span Ty.usize in
-      emit fb ~span (Mir.StorageLive idx);
+      emit fb ~span (Mir.storage_live idx);
       register_temp fb idx;
       emit fb ~span (Mir.Assign (Mir.local_place idx, Mir.Use lo_op));
       let header = new_block fb in
@@ -1263,15 +1286,15 @@ and lower_for fb ~span pat iter body =
         as_temp fb ~span
           (Mir.BinaryOp
              ( (if inclusive then Ast.Le else Ast.Lt),
-               Mir.Copy (Mir.local_place idx),
-               Mir.Copy (Mir.local_place hi_l) ))
+               Mir.copy_local idx,
+               Mir.copy_local hi_l ))
           Ty.bool_
       in
       set_term fb ~span
-        (Mir.SwitchInt (Mir.Copy (Mir.local_place cmp), [ (0, exit_bb) ], body_bb));
+        (Mir.SwitchInt (Mir.copy_local cmp, [ (0, exit_bb) ], body_bb));
       switch_to fb body_bb;
       fb.loops <- (header, exit_bb, List.length fb.scopes) :: fb.loops;
-      let saved_gamma = fb.gamma in
+      let saved_vars = fb.vars in
       push_scope fb;
       bind_arm_pattern fb ~span pat (Mir.local_place idx) Ty.usize;
       push_frame fb;
@@ -1281,10 +1304,10 @@ and lower_for fb ~span pat iter body =
         (Mir.Assign
            ( Mir.local_place idx,
              Mir.BinaryOp
-               (Ast.Add, Mir.Copy (Mir.local_place idx), Mir.Const (Mir.Cint 1))
+               (Ast.Add, Mir.copy_local idx, Mir.Const (Mir.Cint 1))
            ));
       pop_scope fb ~span ();
-      fb.gamma <- saved_gamma;
+      fb.vars <- saved_vars;
       fb.loops <- List.tl fb.loops;
       set_term fb ~span (Mir.Goto header);
       switch_to fb exit_bb
@@ -1306,16 +1329,16 @@ and lower_for fb ~span pat iter body =
       let next =
         lower_call fb ~span
           (Mir.Builtin (Mir.Pure "Iter::next"))
-          [ Mir.Copy iter_place ]
+          [ Mir.copy iter_place ]
           (Ty.Named ("Option", [ elem_ty ]))
       in
       let next_place = operand_to_place fb ~span next (Ty.Named ("Option", [ elem_ty ])) in
       let disc = as_temp fb ~span (Mir.Discriminant next_place) (Ty.Prim Ty.I32) in
       set_term fb ~span
-        (Mir.SwitchInt (Mir.Copy (Mir.local_place disc), [ (1, body_bb) ], exit_bb));
+        (Mir.SwitchInt (Mir.copy_local disc, [ (1, body_bb) ], exit_bb));
       switch_to fb body_bb;
       fb.loops <- (header, exit_bb, List.length fb.scopes) :: fb.loops;
-      let saved_gamma = fb.gamma in
+      let saved_vars = fb.vars in
       push_scope fb;
       bind_arm_pattern fb ~span pat
         { next_place with Mir.proj = next_place.Mir.proj @ [ Mir.Downcast "Some"; Mir.Field "0" ] }
@@ -1323,7 +1346,7 @@ and lower_for fb ~span pat iter body =
       ignore (lower_block_value fb body);
       pop_scope fb ~span ();
       pop_frame fb ~span ();
-      fb.gamma <- saved_gamma;
+      fb.vars <- saved_vars;
       fb.loops <- List.tl fb.loops;
       set_term fb ~span (Mir.Goto header);
       switch_to fb exit_bb
@@ -1401,14 +1424,14 @@ and lower_closure fb ~span (cl : Ast.closure) : Mir.operand =
         if cl.Ast.cl_move then consume fb (Mir.local_place l) ty
         else begin
           ignore n;
-          Mir.Copy (Mir.local_place l)
+          Mir.copy_local l
         end)
       captures
   in
   let ty = Ty.Fn ([], Ty.Unknown) in
   let l = as_temp fb ~span (Mir.Aggregate (Mir.Agg_closure id, cap_ops)) ty in
   fb.closure_of_local <- (l, id) :: fb.closure_of_local;
-  Mir.Copy (Mir.local_place l)
+  Mir.copy_local l
 
 (* ---------------- blocks and statements --------------------------- *)
 
@@ -1428,18 +1451,18 @@ and lower_let fb (lb : Ast.let_binding) =
       let l =
         new_local fb ~name ~mut:(m = Ast.Mut) ~user:true ~span decl_ty
       in
-      emit fb ~span (Mir.StorageLive l);
+      emit fb ~span (Mir.storage_live l);
       match lb.Ast.let_init with
       | Some init ->
           let op = lower_expr fb init in
           sink fb op;
           emit fb ~span (Mir.Assign (Mir.local_place l, Mir.Use op));
           register_local fb l;
-          fb.gamma <- (name, l) :: fb.gamma
+          bind_var fb name l
       | None ->
           Hashtbl.replace fb.uninit l ();
           register_local fb l;
-          fb.gamma <- (name, l) :: fb.gamma)
+          bind_var fb name l)
   | _ -> (
       (* destructuring let *)
       match lb.Ast.let_init with
@@ -1467,7 +1490,7 @@ and lower_stmt fb (s : Ast.stmt) =
   | Ast.S_item _ -> ()  (* nested items are collected separately *)
 
 and lower_block_value fb (b : Ast.block) : Mir.operand =
-  let saved_gamma = fb.gamma in
+  let saved_vars = fb.vars in
   List.iter (lower_stmt fb) b.Ast.stmts;
   let v =
     match b.Ast.tail with
@@ -1477,7 +1500,7 @@ and lower_block_value fb (b : Ast.block) : Mir.operand =
         lower_expr fb e
     | None -> Mir.Const Mir.Cunit
   in
-  fb.gamma <- saved_gamma;
+  fb.vars <- saved_vars;
   v
 
 (* ---------------- functions --------------------------------------- *)
@@ -1490,13 +1513,13 @@ and lower_fn_raw env config out_bodies unsafe_spans ~fn_id
       env;
       config;
       fn_id;
-      locals = [];
+      locals = Array.make 16 no_local;
       n_locals = 0;
       blocks = Array.make 16 no_block;
       n_blocks = 0;
       cur = 0;
       curbuf = no_block;
-      gamma = [];
+      vars = { locals_of = []; gamma = [] };
       scopes = [];
       frames = [];
       loops = [];
@@ -1519,7 +1542,7 @@ and lower_fn_raw env config out_bodies unsafe_spans ~fn_id
   List.iter
     (fun (name, ty) ->
       let l = new_local fb ~name ~user:true ~span ty in
-      fb.gamma <- (name, l) :: fb.gamma)
+      bind_var fb name l)
     params;
   push_scope fb;
   push_frame fb;
@@ -1531,7 +1554,7 @@ and lower_fn_raw env config out_bodies unsafe_spans ~fn_id
   pop_frame fb ~span ();
   pop_scope fb ~span ();
   if not fb.terminated then
-    set_term fb ~span (Mir.Return (Some (Mir.Move (Mir.local_place rl))));
+    set_term fb ~span (Mir.Return (Some (Mir.move_local rl)));
   (* finalize: materialize growable blocks *)
   let blocks =
     Array.init fb.n_blocks (fun i ->
@@ -1542,7 +1565,7 @@ and lower_fn_raw env config out_bodies unsafe_spans ~fn_id
           t_span = bb.bspan;
         })
   in
-  let locals = Array.of_list (List.rev fb.locals) in
+  let locals = Array.sub fb.locals 0 fb.n_locals in
   Hashtbl.replace out_bodies fn_id
     {
       Mir.fn_id;
@@ -1561,21 +1584,14 @@ let lower_fn env config out_bodies unsafe_spans ~fn_id ?self_ty
   match fd.Ast.fn_body with
   | None -> ()
   | Some body ->
+      let param_tys, ret_ty = Sema.Typeck.fn_sig env ?self_ty fd in
       let params =
-        List.map
-          (fun p ->
+        List.map2
+          (fun p ty ->
             match p with
-            | Ast.Param_self None ->
-                ("self", Option.value self_ty ~default:Ty.Unknown)
-            | Ast.Param_self (Some m) ->
-                ("self", Ty.Ref (m, Option.value self_ty ~default:Ty.Unknown))
-            | Ast.Param (_, name, ty) -> (name, Sema.Env.ty_of_ast env ty))
-          fd.Ast.fn_params
-      in
-      let ret_ty =
-        match fd.Ast.fn_ret with
-        | Some t -> Sema.Env.ty_of_ast env t
-        | None -> Ty.unit_
+            | Ast.Param_self _ -> ("self", ty)
+            | Ast.Param (_, name, _) -> (name, ty))
+          fd.Ast.fn_params param_tys
       in
       lower_fn_raw env config out_bodies unsafe_spans ~fn_id ~params
         ~captures:[] ~unsafe_fn:fd.Ast.fn_unsafe ~span:fd.Ast.fn_span ~ret_ty
@@ -1585,8 +1601,22 @@ let lower_fn env config out_bodies unsafe_spans ~fn_id ?self_ty
 (* Crate lowering                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* Bodies of a crate before closures: one per free function and impl
+   method. *)
+let rec fn_count items =
+  List.fold_left
+    (fun n item ->
+      match item with
+      | Ast.I_fn _ -> n + 1
+      | Ast.I_impl ib -> n + List.length ib.Ast.impl_items
+      | Ast.I_mod (_, sub) -> n + fn_count sub
+      | Ast.I_struct _ | Ast.I_enum _ | Ast.I_trait _ | Ast.I_static _
+      | Ast.I_use _ | Ast.I_error _ ->
+          n)
+    0 items
+
 let lower_crate ?(config = default_config) (env : Sema.Env.t) : Mir.program =
-  let out_bodies = Hashtbl.create 32 in
+  let out_bodies = Hashtbl.create (fn_count env.Sema.Env.crate.Ast.items) in
   let unsafe_spans = ref [] in
   let rec do_items items =
     List.iter

@@ -22,7 +22,28 @@ type proj =
 
 type place = { base : local; proj : proj list }
 
-let local_place base = { base; proj = [] }
+(* [per_local mk] is [mk], memoized per local index: one immutable
+   value per index, shared by every body and domain. The table only
+   grows; a domain that loses the race to grow it keeps its own copy,
+   whose values are equal. *)
+let per_local (mk : local -> 'a) : local -> 'a =
+  let tbl = Atomic.make (Array.init 256 mk) in
+  fun l ->
+    let a = Atomic.get tbl in
+    let n = Array.length a in
+    if l < n then a.(l)
+    else begin
+      let a' =
+        Array.init (max (l + 1) (2 * n)) (fun i -> if i < n then a.(i) else mk i)
+      in
+      ignore (Atomic.compare_and_set tbl a a');
+      a'.(l)
+    end
+
+(** The projection-free place of a local. MIR names whole locals far
+    more often than it projects them, so these are shared. *)
+let local_place = per_local (fun base -> { base; proj = [] })
+
 let place_is_local p = p.proj = []
 
 type constant =
@@ -34,6 +55,14 @@ type constant =
   | Cfn of string  (** reference to a function or closure body *)
 
 type operand = Copy of place | Move of place | Const of constant
+
+(** Shared [Copy]/[Move] operands of a whole local, as {!local_place}. *)
+let copy_local = per_local (fun l -> Copy (local_place l))
+let move_local = per_local (fun l -> Move (local_place l))
+
+(** [Copy p] / [Move p], shared when [p] is a whole local. *)
+let copy p = if p.proj = [] then copy_local p.base else Copy p
+let move p = if p.proj = [] then move_local p.base else Move p
 
 type agg_kind =
   | Agg_struct of string
@@ -142,6 +171,10 @@ type stmt_kind =
   | StorageDead of local
   | Drop of place
   | Nop
+
+(** Shared [StorageLive l] / [StorageDead l] kinds, as {!local_place}. *)
+let storage_live = per_local (fun l -> StorageLive l)
+let storage_dead = per_local (fun l -> StorageDead l)
 
 type stmt = { kind : stmt_kind; s_span : Span.t; s_unsafe : bool }
 

@@ -57,6 +57,23 @@ let rec equal a b =
   | Unknown, Unknown -> true
   | _ -> false
 
+(* One statically allocated value per primitive: [prim p] allocates
+   nothing. *)
+let prim = function
+  | Unit -> Prim Unit
+  | Bool -> Prim Bool
+  | Char -> Prim Char
+  | Str -> Prim Str
+  | F64 -> Prim F64
+  | I8 -> Prim I8
+  | I32 -> Prim I32
+  | I64 -> Prim I64
+  | U8 -> Prim U8
+  | U32 -> Prim U32
+  | U64 -> Prim U64
+  | Usize -> Prim Usize
+  | Isize -> Prim Isize
+
 let prim_to_string = function
   | Unit -> "()"
   | Bool -> "bool"
@@ -180,3 +197,52 @@ let is_copy t =
   | Prim _ | Ref (Imm, _) | Ptr _ | Fn _ -> true
   | Tuple ts -> List.for_all (fun t -> not (needs_drop t)) ts
   | _ -> false
+
+(* ------------------------------------------------------------------ *)
+(* Hash-consing                                                        *)
+(* ------------------------------------------------------------------ *)
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = Hashtbl.hash
+end)
+
+(** [share tbl t] is the canonical instance of [t] in [tbl], added
+    (children first) when absent, so structurally equal types shared
+    through one table are one value. Not safe to call on a table other
+    domains read. *)
+let rec share tbl t =
+  match t with
+  | Unknown -> t
+  | Prim p -> prim p
+  | _ -> (
+      match Tbl.find_opt tbl t with
+      | Some s -> s
+      | None ->
+          let shared_list ts =
+            let ts' = List.map (share tbl) ts in
+            if List.for_all2 ( == ) ts ts' then ts else ts'
+          in
+          let s =
+            match t with
+            | Ref (m, a) ->
+                let a' = share tbl a in
+                if a' == a then t else Ref (m, a')
+            | Ptr (m, a) ->
+                let a' = share tbl a in
+                if a' == a then t else Ptr (m, a')
+            | Tuple ts ->
+                let ts' = shared_list ts in
+                if ts' == ts then t else Tuple ts'
+            | Named (n, args) ->
+                let args' = shared_list args in
+                if args' == args then t else Named (n, args')
+            | Fn (args, r) ->
+                let args' = shared_list args and r' = share tbl r in
+                if args' == args && r' == r then t else Fn (args', r')
+            | Prim _ | Unknown -> t
+          in
+          Tbl.add tbl s s;
+          s)

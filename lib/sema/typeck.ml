@@ -221,7 +221,8 @@ let builtin_method (recv : Ty.t) name (targs : Ty.t list)
 (* ------------------------------------------------------------------ *)
 
 (** Parameter and return types of a function. [self_ty] instantiates
-    the receiver for methods. *)
+    the receiver for methods. Reads the signature {!Env.of_crate}
+    resolved; only the receiver, when there is one, is built here. *)
 let fn_sig env ?self_ty (fd : Syntax.Ast.fn_def) : Ty.t list * Ty.t =
   let param_ty = function
     | Ast.Param_self None -> Option.value self_ty ~default:Ty.Unknown
@@ -229,13 +230,19 @@ let fn_sig env ?self_ty (fd : Syntax.Ast.fn_def) : Ty.t list * Ty.t =
         Ty.Ref (m, Option.value self_ty ~default:Ty.Unknown)
     | Ast.Param (_, _, ty) -> Env.ty_of_ast env ty
   in
-  let params = List.map param_ty fd.Ast.fn_params in
-  let ret =
-    match fd.Ast.fn_ret with
-    | Some t -> Env.ty_of_ast env t
-    | None -> Ty.unit_
-  in
-  (params, ret)
+  match Env.resolved_sig env fd with
+  | Some s -> (
+      match (fd.Ast.fn_params, s.Env.sig_params, self_ty) with
+      | (Ast.Param_self _ as p) :: _, _ :: rest, Some _ ->
+          (param_ty p :: rest, s.Env.sig_ret)
+      | _ -> (s.Env.sig_params, s.Env.sig_ret))
+  | None ->
+      let ret =
+        match fd.Ast.fn_ret with
+        | Some t -> Env.ty_of_ast env t
+        | None -> Ty.unit_
+      in
+      (List.map param_ty fd.Ast.fn_params, ret)
 
 (* ------------------------------------------------------------------ *)
 (* Expression typing                                                   *)

@@ -530,27 +530,16 @@ let span_fields (s : Support.Span.t) =
       string_of_int p.Support.Span.offset;
     ]
   in
-  (s.Support.Span.file :: pos s.Support.Span.start_pos)
-  @ pos s.Support.Span.end_pos
+  (Support.Span.file s :: pos (Support.Span.start_pos s))
+  @ pos (Support.Span.end_pos s)
 
 let take_span = function
   | file :: sl :: sc :: so :: el :: ec :: eo :: rest ->
       Some
-        ( {
-            Support.Span.file;
-            start_pos =
-              {
-                Support.Span.line = int_of_string sl;
-                col = int_of_string sc;
-                offset = int_of_string so;
-              };
-            end_pos =
-              {
-                Support.Span.line = int_of_string el;
-                col = int_of_string ec;
-                offset = int_of_string eo;
-              };
-          },
+        ( Support.Span.v ~file ~lo:(int_of_string so)
+            ~lo_line:(int_of_string sl) ~lo_col:(int_of_string sc)
+            ~hi:(int_of_string eo) ~hi_line:(int_of_string el)
+            ~hi_col:(int_of_string ec),
           rest )
   | _ -> None
 

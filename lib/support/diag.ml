@@ -158,12 +158,11 @@ let to_string d = Fmt.str "%a" pp d
 let sort ds =
   List.stable_sort
     (fun a b ->
-      let c = compare a.span.Span.file b.span.Span.file in
+      let c = compare (Span.file a.span) (Span.file b.span) in
       if c <> 0 then c
       else
         let c =
-          compare a.span.Span.start_pos.Span.offset
-            b.span.Span.start_pos.Span.offset
+          compare (Span.start_offset a.span) (Span.start_offset b.span)
         in
         if c <> 0 then c
         else

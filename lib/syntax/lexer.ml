@@ -98,12 +98,12 @@ let line_starts_of src =
   done;
   Array.sub !a 0 !k
 
-(** Derive the 1-based line/col for a byte offset. A position "at" a
-    newline byte belongs to the line the newline terminates, matching
-    the legacy eager line/col tracking. Amortized O(1) for the
-    monotone access pattern of lexing and parsing (the last line found
-    is cached as a hint); O(log lines) otherwise. *)
-let pos_of_offset b off : Span.pos =
+(** Index into [line_starts] of the line holding a byte offset. A
+    position "at" a newline byte belongs to the line the newline
+    terminates, matching the legacy eager line/col tracking. Amortized
+    O(1) for the monotone access pattern of lexing and parsing (the
+    last line found is cached as a hint); O(log lines) otherwise. *)
+let line_index b off =
   let ls = b.line_starts in
   let n = Array.length ls in
   let lo = ref 0 and hi = ref (n - 1) in
@@ -123,11 +123,24 @@ let pos_of_offset b off : Span.pos =
     if Array.unsafe_get ls mid <= off then lo := mid else hi := mid - 1
   done;
   b.line_hint <- !lo;
-  { Span.line = !lo + 1; col = off - Array.unsafe_get ls !lo + 1; offset = off }
+  !lo
+
+let pos_of_offset b off : Span.pos =
+  let l = line_index b off in
+  {
+    Span.line = l + 1;
+    col = off - Array.unsafe_get b.line_starts l + 1;
+    offset = off;
+  }
 
 let span_of_offsets b s e =
-  Span.make ~file:b.file ~start_pos:(pos_of_offset b s)
-    ~end_pos:(pos_of_offset b e)
+  let ls = b.line_starts in
+  let l0 = line_index b s in
+  let l1 = line_index b e in
+  Span.v ~file:b.file ~lo:s ~lo_line:(l0 + 1)
+    ~lo_col:(s - Array.unsafe_get ls l0 + 1)
+    ~hi:e ~hi_line:(l1 + 1)
+    ~hi_col:(e - Array.unsafe_get ls l1 + 1)
 
 let token_span b i =
   span_of_offsets b (Array.unsafe_get b.tok_starts i)

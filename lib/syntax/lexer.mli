@@ -45,6 +45,10 @@ val pos_of_offset : buf -> int -> Span.pos
 (** Line/col for a byte offset, from the line-start table. Amortized
     O(1) on (mostly) monotone offset sequences. *)
 
+val span_of_offsets : buf -> int -> int -> Span.t
+(** Span of the bytes [[s, e)], with line/col from the line-start
+    table; builds no [pos] record. *)
+
 val token_span : buf -> int -> Span.t
 (** Span of token [i], derived from its recorded offsets. *)
 

@@ -20,6 +20,8 @@ type state = {
       (** panic-recovery budget: when it runs out, recovery stops
           resynchronizing and skips to [EOF], bounding the cost of a
           pathologically corrupted file *)
+  mutable last_span : Span.t;
+      (** the span built last, handed out again for the same extent *)
 }
 
 (* Generous: an order of magnitude above the worst diagnostic count
@@ -28,7 +30,21 @@ type state = {
 let error_budget = 128
 
 let make ?recover (buf : Lexer.buf) =
-  { buf; idx = 0; recover; errors_left = error_budget }
+  { buf; idx = 0; recover; errors_left = error_budget; last_span = Span.dummy }
+
+(* A node often spans exactly what its last-built child does ([x] as a
+   path, then as an expression; [u8] as a path, then as a type): those
+   share one span value. *)
+let span_of st s e =
+  let last = st.last_span in
+  if Span.start_offset last = s && Span.end_offset last = e
+     && not (Span.is_dummy last)
+  then last
+  else begin
+    let sp = Lexer.span_of_offsets st.buf s e in
+    st.last_span <- sp;
+    sp
+  end
 
 (* [idx] is always within [0, n_toks); [advance] saturates at the
    final [EOF] token. *)
@@ -43,7 +59,11 @@ let peek_at st n =
 let advance st =
   if st.idx < st.buf.Lexer.n_toks - 1 then st.idx <- st.idx + 1
 
-let prev_span st = Lexer.token_span st.buf (max 0 (st.idx - 1))
+let prev_span st =
+  let i = max 0 (st.idx - 1) in
+  span_of st
+    (Array.unsafe_get st.buf.Lexer.tok_starts i)
+    (Array.unsafe_get st.buf.Lexer.tok_ends i)
 
 let err st fmt =
   Diag.fail ~span:(peek_span st) fmt
@@ -83,8 +103,7 @@ let span_from st (mark : int) =
   let e1 = Array.unsafe_get b.Lexer.tok_ends p in
   let s = if s1 < s0 then s1 else s0 in
   let e = if e1 > e0 then e1 else e0 in
-  Span.make ~file:b.Lexer.file ~start_pos:(Lexer.pos_of_offset b s)
-    ~end_pos:(Lexer.pos_of_offset b e)
+  span_of st s e
 
 (* ------------------------------------------------------------------ *)
 (* Panic-mode synchronization (recovery only)                          *)

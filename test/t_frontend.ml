@@ -29,8 +29,8 @@ let check_span_at src file (sp : Support.Span.t) =
       Alcotest.failf "%s: offset %d derived %d:%d, expected %d:%d" file
         p.Support.Span.offset p.Support.Span.line p.Support.Span.col line col
   in
-  check_pos sp.Support.Span.start_pos;
-  check_pos sp.Support.Span.end_pos
+  check_pos (Support.Span.start_pos sp);
+  check_pos (Support.Span.end_pos sp)
 
 (* Every token span of every corpus file, offset-derived vs eager. *)
 let differential_token_spans =

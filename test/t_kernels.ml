@@ -188,8 +188,8 @@ let rpo_vs_fifo () =
 (* ---------------- unreachable blocks ------------------------------- *)
 
 let mk_span =
-  let p o = { Support.Span.line = 1; col = o + 1; offset = o } in
-  Support.Span.make ~file:"k.rs" ~start_pos:(p 0) ~end_pos:(p 1)
+  Support.Span.v ~file:"k.rs" ~lo:0 ~lo_line:1 ~lo_col:1 ~hi:1 ~hi_line:1
+    ~hi_col:2
 
 let mk_stmt kind = { Mir.kind; s_span = mk_span; s_unsafe = false }
 

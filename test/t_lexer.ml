@@ -74,8 +74,8 @@ let spans =
           | (a : T.spanned) :: (b : T.spanned) :: rest ->
               Alcotest.(check bool)
                 "ordered" true
-                (a.T.span.Support.Span.start_pos.Support.Span.offset
-                <= b.T.span.Support.Span.start_pos.Support.Span.offset);
+                (Support.Span.start_offset a.T.span
+                <= Support.Span.start_offset b.T.span);
               check_ordered (b :: rest)
           | _ -> ()
         in

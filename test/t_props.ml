@@ -6,32 +6,129 @@ open QCheck
 
 (* ---------------- span algebra ------------------------------------- *)
 
-let gen_pos =
-  Gen.map
-    (fun offset ->
-      { Support.Span.line = 1 + (offset / 40); col = 1 + (offset mod 40); offset })
-    (Gen.int_bound 10_000)
+(* Spans are built the way the parser builds them: from byte offsets
+   into a lexed buffer. Each comes paired with a reference model in the
+   eager three-record layout spans used to have (a file and two
+   line/col/offset records, line/col counted straight from the text),
+   and the span operations must agree with the model's. *)
+module Eager = struct
+  type pos = { line : int; col : int; offset : int }
+  type t = { file : string; start_pos : pos; end_pos : pos }
+
+  let is_dummy s = s.start_pos.line = 0
+
+  let union a b =
+    if is_dummy a then b
+    else if is_dummy b then a
+    else
+      {
+        file = a.file;
+        start_pos =
+          (if a.start_pos.offset <= b.start_pos.offset then a.start_pos
+           else b.start_pos);
+        end_pos =
+          (if a.end_pos.offset >= b.end_pos.offset then a.end_pos else b.end_pos);
+      }
+
+  let contains o i =
+    (not (is_dummy o)) && (not (is_dummy i))
+    && o.start_pos.offset <= i.start_pos.offset
+    && i.end_pos.offset <= o.end_pos.offset
+
+  let compare a b =
+    let c = String.compare a.file b.file in
+    if c <> 0 then c
+    else
+      let c = Int.compare a.start_pos.offset b.start_pos.offset in
+      if c <> 0 then c else Int.compare a.end_pos.offset b.end_pos.offset
+
+  let to_string s =
+    if is_dummy s then "<no-loc>"
+    else
+      Printf.sprintf "%s:%d:%d-%d:%d" s.file s.start_pos.line s.start_pos.col
+        s.end_pos.line s.end_pos.col
+
+  let dummy =
+    let p = { line = 0; col = 0; offset = 0 } in
+    { file = "<none>"; start_pos = p; end_pos = p }
+
+  let of_span (s : Support.Span.t) =
+    let p (q : Support.Span.pos) =
+      { line = q.Support.Span.line; col = q.Support.Span.col; offset = q.Support.Span.offset }
+    in
+    {
+      file = Support.Span.file s;
+      start_pos = p (Support.Span.start_pos s);
+      end_pos = p (Support.Span.end_pos s);
+    }
+end
+
+(* A lexable source of ragged lines, some empty. *)
+let span_src =
+  let r = Random.State.make [| 0x5a4e |] in
+  String.concat "\n"
+    (List.init 200 (fun _ ->
+         String.concat " " (List.init (Random.State.int r 12) (fun _ -> "x"))))
+
+let span_buf = Rustudy.Lexer.lex ~file:"p.rs" span_src
+
+let eager_pos off =
+  let line = ref 1 and start = ref 0 in
+  for i = 0 to off - 1 do
+    if span_src.[i] = '\n' then begin
+      incr line;
+      start := i + 1
+    end
+  done;
+  { Eager.line = !line; col = off - !start + 1; offset = off }
 
 let gen_span =
-  Gen.map2
-    (fun a b ->
-      let lo = min a b and hi = max a b in
-      Support.Span.make ~file:"p.rs" ~start_pos:lo ~end_pos:hi)
-    gen_pos gen_pos
-  |> Gen.map (fun s -> s)
+  let n = String.length span_src in
+  Gen.frequency
+    [
+      (1, Gen.return (Support.Span.dummy, Eager.dummy));
+      ( 12,
+        Gen.map2
+          (fun a b ->
+            let lo = min a b and hi = max a b in
+            ( Rustudy.Lexer.span_of_offsets span_buf lo hi,
+              { Eager.file = "p.rs"; start_pos = eager_pos lo; end_pos = eager_pos hi } ))
+          (Gen.int_bound n) (Gen.int_bound n) );
+    ]
 
-let arb_span = make gen_span
+let arb_span =
+  make
+    ~print:(fun (s, m) ->
+      Printf.sprintf "%s (model %s)" (Support.Span.to_string s) (Eager.to_string m))
+    gen_span
 
 let span_union_contains =
   Test.make ~name:"span union contains both operands" ~count:500
     (pair arb_span arb_span)
-    (fun (a, b) ->
+    (fun ((a, _), (b, _)) ->
       let u = Support.Span.union a b in
-      Support.Span.contains u a && Support.Span.contains u b)
+      Support.Span.is_dummy a || Support.Span.is_dummy b
+      || (Support.Span.contains u a && Support.Span.contains u b))
 
 let span_contains_refl =
-  Test.make ~name:"span contains itself" ~count:200 arb_span (fun s ->
-      Support.Span.contains s s)
+  Test.make ~name:"span contains itself" ~count:200 arb_span (fun (s, _) ->
+      Support.Span.is_dummy s || Support.Span.contains s s)
+
+let span_matches_model =
+  Test.make ~name:"offset-built span = eager model (pos, pp)" ~count:500 arb_span
+    (fun (s, m) ->
+      Eager.of_span s = m && Support.Span.to_string s = Eager.to_string m)
+
+let span_ops_match_model =
+  Test.make ~name:"span union/contains/compare = eager model" ~count:1000
+    (pair arb_span arb_span)
+    (fun ((a, ma), (b, mb)) ->
+      Eager.of_span (Support.Span.union a b) = Eager.union ma mb
+      && Support.Span.contains a b = Eager.contains ma mb
+      && Support.Span.contains b a = Eager.contains mb ma
+      && compare (Support.Span.compare a b) 0 = compare (Eager.compare ma mb) 0
+      && Support.Span.to_string (Support.Span.union a b)
+         = Eager.to_string (Eager.union ma mb))
 
 (* ---------------- lexer round-trip --------------------------------- *)
 
@@ -214,6 +311,8 @@ let suite =
     [
       span_union_contains;
       span_contains_refl;
+      span_matches_model;
+      span_ops_match_model;
       lexer_roundtrip;
       generated_programs_lower;
       generated_programs_detect_clean;

@@ -26,4 +26,6 @@ let () =
       ("summary", T_summary.suite);
       ("oracle", T_oracle.suite);
       ("sites", T_sites.suite);
+      ("span", T_span.suite);
+      ("heap", T_heap.suite);
     ]
