@@ -101,12 +101,17 @@ let pipeline_tests =
 (* Detector benches (§7)                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* Each detector on a private context per program, as a standalone
+   caller would run it. *)
+let uaf p = Detectors.Uaf.run_ctx (Rustudy.Cache.create p)
+let double_lock p = Detectors.Double_lock.run_ctx (Rustudy.Cache.create p)
+
 let detector_tests =
   [
     Test.make ~name:"detector_uaf" (Staged.stage (fun () ->
-        List.concat_map Rustudy.detect_use_after_free (Lazy.force corpus_programs)));
+        List.concat_map uaf (Lazy.force corpus_programs)));
     Test.make ~name:"detector_dlock" (Staged.stage (fun () ->
-        List.concat_map Rustudy.detect_double_lock (Lazy.force corpus_programs)));
+        List.concat_map double_lock (Lazy.force corpus_programs)));
     Test.make ~name:"detector_eval" (Staged.stage (fun () ->
         Rustudy.Detector_eval.run ~domains:1 ()));
   ]
@@ -190,7 +195,7 @@ let interproc_pass ~mode program =
 (* ------------------------------------------------------------------ *)
 
 let lower_and_detect config src =
-  Rustudy.detect_double_lock (Rustudy.load ~config ~file:"a.rs" src)
+  double_lock (Rustudy.load ~config ~file:"a.rs" src)
 
 let ablation_tests =
   [
@@ -214,11 +219,15 @@ let ablation_tests =
           (Rustudy.Cache.create (scale_program Scale_gen.Chain 1000))));
     Test.make ~name:"ablation_extern_assume_on" (Staged.stage (fun () ->
         List.concat_map
-          (Detectors.Uaf.run ~assume_extern_derefs:true)
+          (fun p ->
+            Detectors.Uaf.run_ctx ~assume_extern_derefs:true
+              (Rustudy.Cache.create p))
           (Lazy.force corpus_programs)));
     Test.make ~name:"ablation_extern_assume_off" (Staged.stage (fun () ->
         List.concat_map
-          (Detectors.Uaf.run ~assume_extern_derefs:false)
+          (fun p ->
+            Detectors.Uaf.run_ctx ~assume_extern_derefs:false
+              (Rustudy.Cache.create p))
           (Lazy.force corpus_programs)));
   ]
 
@@ -227,7 +236,7 @@ let ablation_tests =
 (* ------------------------------------------------------------------ *)
 
 let uaf_pass () =
-  List.concat_map Rustudy.detect_use_after_free (Lazy.force corpus_programs)
+  List.concat_map uaf (Lazy.force corpus_programs)
 
 let observability_tests =
   [
@@ -297,13 +306,19 @@ let recall_summary () =
   let interproc_on =
     List.length
       (List.filter
-         (fun p -> Detectors.Double_lock.run ~interprocedural:true p <> [])
+         (fun p ->
+           Detectors.Double_lock.run_ctx ~interprocedural:true
+             (Rustudy.Cache.create p)
+           <> [])
          (Lazy.force corpus_programs))
   in
   let interproc_off =
     List.length
       (List.filter
-         (fun p -> Detectors.Double_lock.run ~interprocedural:false p <> [])
+         (fun p ->
+           Detectors.Double_lock.run_ctx ~interprocedural:false
+             (Rustudy.Cache.create p)
+           <> [])
          (Lazy.force corpus_programs))
   in
   let eval_on = Lazy.force eval_result in
@@ -558,27 +573,16 @@ let ablation_divergence_assert (rows : (string * float) list) : bool =
   | _ -> true
 
 (* The pre-cache corpus pass: re-lower every entry from source and let
-   every detector recompute its own analyses (each legacy [run] builds
-   a private context, so nothing is shared across detectors). *)
+   every detector of the table recompute its own analyses on a private
+   context, so nothing is shared across detectors. *)
 let uncached_corpus_pass () =
   List.iter
     (fun (e : Corpus.entry) ->
       let p = Rustudy.load ~file:(e.Corpus.id ^ ".rs") e.Corpus.source in
-      ignore (Detectors.Uaf.run p);
-      ignore (Detectors.Double_free.run p);
-      ignore (Detectors.Invalid_free.run p);
-      ignore (Detectors.Uninit.run p);
-      ignore (Detectors.Null_deref.run p);
-      ignore (Detectors.Buffer.run p);
-      ignore (Detectors.Double_lock.run p);
-      ignore (Detectors.Lock_order.run p);
-      ignore (Detectors.Condvar.run p);
-      ignore (Detectors.Channel.run p);
-      ignore (Detectors.Once.run p);
-      ignore (Detectors.Sync_misuse.run p);
-      ignore (Detectors.Atomicity.run p);
-      ignore (Detectors.Atomicity.run_with_sessions p);
-      ignore (Detectors.Refcell.run p))
+      ignore
+        (List.concat_map
+           (fun (_, run) -> run (Rustudy.Cache.create p))
+           Detectors.All.detectors))
     Corpus.all_bugs
 
 (* The cached corpus pass: every entry goes through the program cache

@@ -45,7 +45,7 @@ fn sign(data: Option<i32>) {
 
 let run name source =
   let program = Rustudy.load ~file:(name ^ ".rs") source in
-  let findings = Rustudy.detect_use_after_free program in
+  let findings = Detectors.Uaf.run_ctx (Rustudy.Cache.create program) in
   Printf.printf "%s: %d use-after-free finding(s)\n" name (List.length findings);
   List.iter (fun f -> print_endline ("  " ^ Rustudy.Finding.to_string f)) findings
 

@@ -77,19 +77,16 @@ let load_ctx ?config ~file source : Cache.t =
 
 (** Run every bug detector (memory, blocking, non-blocking). *)
 let detect (program : Mir.program) : Finding.finding list =
-  Detectors.All.bugs program
+  Detectors.All.bugs_ctx (Cache.create program)
 
 (** [detect] against a shared analysis context. *)
 let detect_ctx (ctx : Cache.t) : Finding.finding list =
   Detectors.All.bugs_ctx ctx
 
-(** Run only the paper's two headline detectors. *)
-let detect_use_after_free = Detectors.Uaf.run
-let detect_double_lock = Detectors.Double_lock.run
-
 (** Model of what the Rust compiler statically rejects
     (use-after-move, conflicting borrows). *)
-let compiler_checks = Detectors.All.compiler_checks
+let compiler_checks (program : Mir.program) : Finding.finding list =
+  Detectors.All.compiler_checks_ctx (Cache.create program)
 
 (** Scan a crate for unsafe usages (section 4 of the paper). *)
 let scan_unsafe (crate : Ast.crate) : Unsafe_scan.stats =

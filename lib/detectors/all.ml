@@ -1,18 +1,31 @@
-(** Convenience entry points running groups of detectors, matching the
-    paper's taxonomy: memory-safety detectors (§5/§7.1), blocking-bug
-    detectors (§6.1/§7.2), non-blocking-bug detectors (§6.2), and the
-    compiler-model checks.
-
-    The [_ctx] variants share one {!Analysis.Cache.t}, so the alias,
-    points-to, liveness and call-graph analyses each run at most once
-    per body no matter how many detectors consume them. The legacy
-    [program]-taking entry points build a single cache internally and
-    delegate, so they get the same sharing within one call.
+(** The detector table and the passes over it (see all.mli).
 
     Every detector invocation is observable: a [detector.<name>] trace
     span wraps it and [rustudy_detector_runs_total] /
     [rustudy_detector_findings_total] (labelled by detector) count it —
     both no-ops unless tracing/metrics are enabled. *)
+
+let detectors : (string * (Analysis.Cache.t -> Report.finding list)) list =
+  [
+    (* §5 memory safety *)
+    ("uaf", fun ctx -> Uaf.run_ctx ctx);
+    ("double_free", Double_free.run_ctx);
+    ("invalid_free", Invalid_free.run_ctx);
+    ("uninit", Uninit.run_ctx);
+    ("null_deref", Null_deref.run_ctx);
+    ("buffer", Buffer.run_ctx);
+    (* §6.1 blocking *)
+    ("double_lock", fun ctx -> Double_lock.run_ctx ctx);
+    ("lock_order", Lock_order.run_ctx);
+    ("condvar", Condvar.run_ctx);
+    ("channel", Channel.run_ctx);
+    ("once", Once.run_ctx);
+    (* §6.2 non-blocking *)
+    ("sync_misuse", Sync_misuse.run_ctx);
+    ("atomicity", Atomicity.run_ctx);
+    ("atomicity_sessions", Atomicity.run_with_sessions_ctx);
+    ("refcell", Refcell.run_ctx);
+  ]
 
 let m_runs =
   Support.Metrics.counter ~labels:[ "detector" ]
@@ -37,43 +50,12 @@ let det name run_ctx ctx =
   end;
   findings
 
-let memory_ctx ctx =
-  det "uaf" Uaf.run_ctx ctx
-  @ det "double_free" Double_free.run_ctx ctx
-  @ det "invalid_free" Invalid_free.run_ctx ctx
-  @ det "uninit" Uninit.run_ctx ctx
-  @ det "null_deref" Null_deref.run_ctx ctx
-  @ det "buffer" Buffer.run_ctx ctx
-
-let blocking_ctx ctx =
-  det "double_lock" Double_lock.run_ctx ctx
-  @ det "lock_order" Lock_order.run_ctx ctx
-  @ det "condvar" Condvar.run_ctx ctx
-  @ det "channel" Channel.run_ctx ctx
-  @ det "once" Once.run_ctx ctx
-
-let non_blocking_ctx ctx =
-  det "sync_misuse" Sync_misuse.run_ctx ctx
-  @ det "atomicity" Atomicity.run_ctx ctx
-  @ det "atomicity_sessions" Atomicity.run_with_sessions_ctx ctx
-  @ det "refcell" Refcell.run_ctx ctx
+(* A right fold runs the table's last detector first and [uaf] last.
+   Keep that order: traces show it, and under a deadline it decides
+   which detectors finish before the budget runs out. Findings still
+   come out in table order. *)
+let bugs_ctx ctx =
+  List.fold_right (fun (name, run) acc -> det name run ctx @ acc) detectors []
 
 let compiler_checks_ctx ctx = det "borrowck" Borrowck.run_ctx ctx
-
-let all_ctx ctx =
-  memory_ctx ctx @ blocking_ctx ctx @ non_blocking_ctx ctx
-  @ compiler_checks_ctx ctx
-
-(** Everything except the compiler-model checks: the runtime-bug
-    detectors proper. *)
-let bugs_ctx ctx = memory_ctx ctx @ blocking_ctx ctx @ non_blocking_ctx ctx
-
-let memory program = memory_ctx (Analysis.Cache.create program)
-let blocking program = blocking_ctx (Analysis.Cache.create program)
-let non_blocking program = non_blocking_ctx (Analysis.Cache.create program)
-
-let compiler_checks program =
-  compiler_checks_ctx (Analysis.Cache.create program)
-
-let all program = all_ctx (Analysis.Cache.create program)
-let bugs program = bugs_ctx (Analysis.Cache.create program)
+let all_ctx ctx = bugs_ctx ctx @ compiler_checks_ctx ctx

@@ -1,37 +1,24 @@
-(** Entry points running detector groups, matching the paper's taxonomy.
+(** The runtime-bug detectors as one ordered table, and the passes
+    that run it over a shared {!Analysis.Cache.t}, so the per-body
+    analyses (alias, points-to, liveness) and the call graph are
+    computed at most once across every detector. To run detectors on a
+    bare program, pass [Analysis.Cache.create program]. *)
 
-    The [_ctx] variants take a shared {!Analysis.Cache.t} so the
-    per-body analyses (alias, points-to, liveness) and the call graph
-    are computed at most once across every detector in the group. The
-    [program]-taking entry points are compatibility wrappers that build
-    one cache internally per call. *)
+val detectors : (string * (Analysis.Cache.t -> Report.finding list)) list
+(** Name and [run_ctx] of each runtime detector, in findings order:
+    memory safety (§5: uaf … buffer), blocking (§6.1: double_lock …
+    once), non-blocking (§6.2: sync_misuse … refcell). Each name is
+    the [detector] label of the span and counters below, and the one
+    the detector passes to {!Gate.select}. *)
 
-open Ir
-
-val memory_ctx : Analysis.Cache.t -> Report.finding list
-val blocking_ctx : Analysis.Cache.t -> Report.finding list
-val non_blocking_ctx : Analysis.Cache.t -> Report.finding list
-val compiler_checks_ctx : Analysis.Cache.t -> Report.finding list
 val bugs_ctx : Analysis.Cache.t -> Report.finding list
-val all_ctx : Analysis.Cache.t -> Report.finding list
+(** Every table detector, each wrapped in a [detector.<name>] trace
+    span and counted in [rustudy_detector_runs_total] /
+    [rustudy_detector_findings_total]. Findings are in table order; the
+    detectors run in reverse table order. *)
 
-val memory : Mir.program -> Report.finding list
-(** §5: use-after-free, double-free, invalid-free, uninitialized read,
-    null dereference, buffer overflow. *)
-
-val blocking : Mir.program -> Report.finding list
-(** §6.1: double lock, conflicting lock order, Condvar lost wakeup,
-    channel deadlock, Once recursion. *)
-
-val non_blocking : Mir.program -> Report.finding list
-(** §6.2: Sync misuse, atomic and lock-session atomicity violations,
-    RefCell double borrows. *)
-
-val compiler_checks : Mir.program -> Report.finding list
+val compiler_checks_ctx : Analysis.Cache.t -> Report.finding list
 (** The borrow-checker model: what rustc rejects at compile time. *)
 
-val bugs : Mir.program -> Report.finding list
-(** All runtime-bug detectors (memory + blocking + non-blocking). *)
-
-val all : Mir.program -> Report.finding list
-(** Everything, including the compiler-model checks. *)
+val all_ctx : Analysis.Cache.t -> Report.finding list
+(** {!bugs_ctx} followed by {!compiler_checks_ctx} (which runs first). *)

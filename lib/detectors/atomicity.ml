@@ -65,9 +65,6 @@ let run_ctx (ctx : Analysis.Cache.t) : Report.finding list =
     (fun b -> check_body (Analysis.Cache.aliases ctx b) b)
     (Gate.select ctx "atomicity" ~gate:Gate.atomicity)
 
-let run (program : Mir.program) : Report.finding list =
-  run_ctx (Analysis.Cache.create program)
-
 (* ------------------------------------------------------------------ *)
 (* Check-then-act across two critical sections of the same lock        *)
 (* ------------------------------------------------------------------ *)
@@ -136,6 +133,3 @@ let run_with_sessions_ctx (ctx : Analysis.Cache.t) : Report.finding list =
   List.concat_map
     (fun b -> two_session_with (Double_lock.locks_of ctx b) b)
     (Gate.select ctx "atomicity_sessions" ~gate:Gate.atomicity_sessions)
-
-let run_with_sessions (program : Mir.program) : Report.finding list =
-  run_with_sessions_ctx (Analysis.Cache.create program)

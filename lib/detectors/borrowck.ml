@@ -149,6 +149,3 @@ let run_ctx (ctx : Analysis.Cache.t) : Report.finding list =
     (fun b ->
       use_after_move b @ borrow_conflicts_with (Analysis.Cache.storage ctx b) b)
     (Mir.body_list (Analysis.Cache.program ctx))
-
-let run (program : Mir.program) : Report.finding list =
-  run_ctx (Analysis.Cache.create program)

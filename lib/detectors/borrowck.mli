@@ -9,4 +9,3 @@ val use_after_move : Mir.body -> Report.finding list
 val borrow_conflicts : Mir.body -> Report.finding list
 val run_body : Mir.body -> Report.finding list
 val run_ctx : Analysis.Cache.t -> Report.finding list
-val run : Mir.program -> Report.finding list

@@ -8,4 +8,3 @@ open Ir
 
 val run_body : Mir.body -> Report.finding list
 val run_ctx : Analysis.Cache.t -> Report.finding list
-val run : Mir.program -> Report.finding list

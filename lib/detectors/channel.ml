@@ -55,6 +55,3 @@ let run_ctx (ctx : Analysis.Cache.t) : Report.finding list =
   check
     (channel_sites_with (Analysis.Cache.aliases ctx)
        (Gate.select ctx "channel" ~gate:Gate.channel))
-
-let run (program : Mir.program) : Report.finding list =
-  run_ctx (Analysis.Cache.create program)

@@ -10,4 +10,3 @@ val channel_sites_with :
 (** [(recvs, sends)] of the given bodies, ungated. *)
 
 val run_ctx : Analysis.Cache.t -> Report.finding list
-val run : Mir.program -> Report.finding list

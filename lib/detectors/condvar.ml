@@ -75,6 +75,3 @@ let run_ctx (ctx : Analysis.Cache.t) : Report.finding list =
   check
     (condvar_sites_with (Analysis.Cache.aliases ctx)
        (Gate.select ctx "condvar" ~gate:Gate.condvar))
-
-let run (program : Mir.program) : Report.finding list =
-  run_ctx (Analysis.Cache.create program)

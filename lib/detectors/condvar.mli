@@ -11,4 +11,3 @@ val condvar_sites_with :
 (** [(waits, notifies)] of the given bodies, ungated. *)
 
 val run_ctx : Analysis.Cache.t -> Report.finding list
-val run : Mir.program -> Report.finding list

@@ -151,6 +151,3 @@ let run_ctx (ctx : Analysis.Cache.t) : Report.finding list =
   List.concat_map
     (fun b -> check_body (Analysis.Cache.pointsto ctx b) b)
     (Gate.select ctx "double_free" ~gate:Gate.double_free)
-
-let run (program : Mir.program) : Report.finding list =
-  run_ctx (Analysis.Cache.create program)

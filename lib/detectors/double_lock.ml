@@ -570,10 +570,6 @@ let run_ctx ?(interprocedural = true) ?mode (ctx : Analysis.Cache.t) :
   List.concat_map (check_body ctx summaries)
     (Gate.select ctx "double_lock" ~gate:Gate.double_lock)
 
-(** Run the double-lock detector over a whole program. *)
-let run ?interprocedural ?mode (program : Mir.program) : Report.finding list =
-  run_ctx ?interprocedural ?mode (Analysis.Cache.create program)
-
 (** Exposed for the lock-order detector: per-body acquisition-order
     pairs (held root, newly acquired root) with spans. *)
 let order_pairs_with ((locks, held) : body_locks * Flow.result)

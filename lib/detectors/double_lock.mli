@@ -69,13 +69,6 @@ val run_ctx :
     replay fixpoint — their findings agree at convergence, and the
     differential suite holds them byte-identical over the corpus. *)
 
-val run :
-  ?interprocedural:bool ->
-  ?mode:Analysis.Summary.mode ->
-  Mir.program ->
-  Report.finding list
-(** Run the detector (private context). *)
-
 val order_pairs :
   Mir.body -> (Analysis.Alias.t * Analysis.Alias.t * Support.Span.t) list
 (** (held lock, newly acquired lock) pairs, consumed by the

@@ -78,6 +78,3 @@ let run_ctx (ctx : Analysis.Cache.t) : Report.finding list =
        else [])
       @ if Gate.invalid_free_uninit s then Uninit.uninit_drop b else [])
     (Gate.select ctx "invalid_free" ~gate)
-
-let run (program : Mir.program) : Report.finding list =
-  run_ctx (Analysis.Cache.create program)

@@ -116,6 +116,3 @@ let run_ctx (ctx : Analysis.Cache.t) : Report.finding list =
             "lock `%s` is acquired while holding `%s`; another thread acquires them in the opposite order (deadlock cycle)"
             e.to_root e.from_root)
         cycle
-
-let run (program : Mir.program) : Report.finding list =
-  run_ctx (Analysis.Cache.create program)

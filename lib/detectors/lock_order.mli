@@ -16,4 +16,3 @@ val substituted_pairs : Mir.program -> edge list
 val substituted_pairs_ctx : Analysis.Cache.t -> edge list
 val find_cycle : edge list -> edge list
 val run_ctx : Analysis.Cache.t -> Report.finding list
-val run : Mir.program -> Report.finding list

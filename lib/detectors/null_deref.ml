@@ -129,6 +129,3 @@ let run_body (body : Mir.body) : Report.finding list =
 
 let run_ctx (ctx : Analysis.Cache.t) : Report.finding list =
   List.concat_map run_body (Gate.select ctx "null_deref" ~gate:Gate.null_deref)
-
-let run (program : Mir.program) : Report.finding list =
-  run_ctx (Analysis.Cache.create program)

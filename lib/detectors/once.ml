@@ -56,6 +56,3 @@ let run_ctx (ctx : Analysis.Cache.t) : Report.finding list =
           end)
         cg.Analysis.Callgraph.edges;
       !findings
-
-let run (program : Mir.program) : Report.finding list =
-  run_ctx (Analysis.Cache.create program)

@@ -8,4 +8,3 @@ val call_once_roots_with : Analysis.Alias.resolution -> Mir.body -> string list
     ungated. *)
 
 val run_ctx : Analysis.Cache.t -> Report.finding list
-val run : Mir.program -> Report.finding list

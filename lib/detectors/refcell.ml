@@ -155,6 +155,3 @@ let run_ctx (ctx : Analysis.Cache.t) : Report.finding list =
   List.concat_map
     (fun b -> check_body (Analysis.Cache.aliases ctx b) b)
     (Gate.select ctx "refcell" ~gate:Gate.refcell)
-
-let run (program : Mir.program) : Report.finding list =
-  run_ctx (Analysis.Cache.create program)

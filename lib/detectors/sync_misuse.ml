@@ -99,6 +99,3 @@ let run_ctx (ctx : Analysis.Cache.t) : Report.finding list =
     (List.rev_map
        (check_body ~sync_types (Analysis.Cache.aliases ctx))
        (Gate.select ctx "sync_misuse" ~gate:Gate.sync_misuse))
-
-let run (program : Mir.program) : Report.finding list =
-  run_ctx (Analysis.Cache.create program)

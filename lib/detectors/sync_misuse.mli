@@ -9,4 +9,3 @@ val run_body : Mir.program -> Mir.body -> Report.finding list
 (** One body, ungated, on freshly resolved aliases. *)
 
 val run_ctx : Analysis.Cache.t -> Report.finding list
-val run : Mir.program -> Report.finding list

@@ -500,8 +500,3 @@ let run_ctx ?(assume_extern_derefs = true) ?mode (ctx : Analysis.Cache.t) :
   List.concat_map
     (check_body ~assume_extern_derefs ctx summaries)
     (Gate.select ctx "uaf" ~gate:Gate.uaf)
-
-(** Run the use-after-free detector over a whole program. *)
-let run ?assume_extern_derefs ?mode (program : Mir.program) :
-    Report.finding list =
-  run_ctx ?assume_extern_derefs ?mode (Analysis.Cache.create program)

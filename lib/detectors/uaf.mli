@@ -39,10 +39,3 @@ val run_ctx :
     (default [Analysis.Summary.default_mode ()]) picks the
     SCC-scheduled summary engine vs the legacy whole-program replay
     fixpoint; both converge to the same least fixpoint. *)
-
-val run :
-  ?assume_extern_derefs:bool ->
-  ?mode:Analysis.Summary.mode ->
-  Mir.program ->
-  Report.finding list
-(** Run the detector over every body of a program (private context). *)

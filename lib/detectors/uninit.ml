@@ -295,6 +295,3 @@ let run_ctx (ctx : Analysis.Cache.t) : Report.finding list =
         set_len_reads_with (Analysis.Cache.aliases ctx b) b
       else [])
     (Gate.select ctx "uninit" ~gate)
-
-let run (program : Mir.program) : Report.finding list =
-  run_ctx (Analysis.Cache.create program)

@@ -12,7 +12,6 @@ val set_len_reads : Mir.body -> Report.finding list
 
 val uninit_drop : Mir.body -> Report.finding list
 (** Drops of never-initialized [mem::uninitialized] values — an
-    invalid-free shape, re-exported through {!Invalid_free.run}. *)
+    invalid-free shape, re-exported through {!Invalid_free.run_ctx}. *)
 
 val run_ctx : Analysis.Cache.t -> Report.finding list
-val run : Mir.program -> Report.finding list

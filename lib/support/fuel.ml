@@ -20,26 +20,11 @@ let get () = Atomic.get budget
 (** Set the process-wide budget. Values [<= 0] restore the default. *)
 let set n = Atomic.set budget (if n <= 0 then default_budget else n)
 
-(** Run [f] with the budget temporarily set to [n] (tests). The
-    restore is a compare-and-set: a concurrent [set] from another
-    domain during [f] wins and is left in place instead of being
-    silently clobbered (see the interface for the remaining caveat). *)
-let with_budget n f =
-  let old = get () in
-  let applied = if n <= 0 then default_budget else n in
-  Atomic.set budget applied;
-  Fun.protect f ~finally:(fun () ->
-      ignore (Atomic.compare_and_set budget applied old))
-
 (* ---------------- per-domain override ------------------------------- *)
 
-(* [with_budget] mutates the process-wide atomic, so two concurrent
-   requests on different domains clobber each other's budgets (the CAS
-   restore only protects against lost [set]s, not against the other
-   request reading the wrong value mid-scope). Long-lived multi-domain
-   processes — the analysis server — scope a request's budget to its
-   worker domain instead: the override shadows the global budget on
-   this domain only and other domains never see it. *)
+(* A scoped budget shadows the process-wide one on the calling domain
+   only, so concurrent requests on different domains — the analysis
+   server's workers — never see each other's budgets. *)
 let domain_key : int option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let domain_budget () = Domain.DLS.get domain_key

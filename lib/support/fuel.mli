@@ -17,23 +17,12 @@ val set : int -> unit
 (** Set the process-wide budget (atomic: visible to all domains).
     Values [<= 0] restore the default. *)
 
-val with_budget : int -> (unit -> 'a) -> 'a
-(** Run [f] with the budget temporarily set to [n], then restore the
-    previous value. The restore is a compare-and-set, so a concurrent
-    {!set} from another domain during [f] is left in place rather than
-    clobbered. Remaining caveat (inherent ABA): if another domain sets
-    the budget to exactly the value this call installed, the restore
-    cannot tell the two writes apart and still puts the old value
-    back. Intended for test code; concurrent production overrides
-    should use {!set} directly. *)
-
 (** {1 Per-domain override}
 
-    {!with_budget} mutates the process-wide atomic, so two concurrent
-    requests on different domains would clobber each other. The
-    analysis server scopes a request's budget to its worker domain
-    instead: the override shadows the global budget on the calling
-    domain only. *)
+    The one way to scope a budget. The override shadows the
+    process-wide budget on the calling domain only, so concurrent
+    requests on different domains (the analysis server's workers) never
+    see each other's budgets. *)
 
 val with_domain_budget : int -> (unit -> 'a) -> 'a
 (** Run [f] with this domain's fuel budget set to [n] ([<= 0] means

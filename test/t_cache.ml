@@ -10,25 +10,13 @@ let finding_strings fs = List.map Rustudy.Finding.to_string fs
 let load_entry (e : Corpus.entry) =
   Rustudy.load ~file:(e.Corpus.id ^ ".rs") e.Corpus.source
 
-(* The pre-cache behaviour, reconstructed: every detector run on its
-   own, each recomputing its own analyses, concatenated in exactly the
-   order [Detectors.All.bugs] uses. *)
+(* The pre-cache behaviour, reconstructed: every detector of the table
+   run on a private context, each recomputing its own analyses,
+   concatenated in table order. *)
 let uncached_bugs program =
-  Detectors.Uaf.run program
-  @ Detectors.Double_free.run program
-  @ Detectors.Invalid_free.run program
-  @ Detectors.Uninit.run program
-  @ Detectors.Null_deref.run program
-  @ Detectors.Buffer.run program
-  @ Detectors.Double_lock.run program
-  @ Detectors.Lock_order.run program
-  @ Detectors.Condvar.run program
-  @ Detectors.Channel.run program
-  @ Detectors.Once.run program
-  @ Detectors.Sync_misuse.run program
-  @ Detectors.Atomicity.run program
-  @ Detectors.Atomicity.run_with_sessions program
-  @ Detectors.Refcell.run program
+  List.concat_map
+    (fun (_, run) -> run (Analysis.Cache.create program))
+    Detectors.All.detectors
 
 let cached_equals_uncached =
   case "cached findings = per-detector findings on every corpus entry"
@@ -39,7 +27,8 @@ let cached_equals_uncached =
           Alcotest.(check (list string))
             e.Corpus.id
             (finding_strings (uncached_bugs program))
-            (finding_strings (Detectors.All.bugs program)))
+            (finding_strings
+               (Detectors.All.bugs_ctx (Analysis.Cache.create program))))
         Corpus.all_bugs)
 
 let compiler_checks_agree =
@@ -52,10 +41,12 @@ let compiler_checks_agree =
             (finding_strings
                (List.concat_map Detectors.Borrowck.run_body
                   (Ir.Mir.body_list program)))
-            (finding_strings (Detectors.All.compiler_checks program)))
+            (finding_strings
+               (Detectors.All.compiler_checks_ctx
+                  (Analysis.Cache.create program))))
         Corpus.all_bugs)
 
-(* The acceptance criterion: one [All.bugs] call computes points-to,
+(* The acceptance criterion: one [All.bugs_ctx] call computes points-to,
    liveness and alias resolution at most once per body, and the call
    graph at most once per program. *)
 let analysis_counts =
@@ -77,7 +68,7 @@ let analysis_counts =
               let sto0 = Analysis.Storage.runs () in
               let ali0 = Analysis.Alias.runs () in
               let cg0 = Analysis.Callgraph.runs () in
-              ignore (Detectors.All.bugs program);
+              ignore (Detectors.All.bugs_ctx (Analysis.Cache.create program));
               let le what count bound =
                 Alcotest.(check bool)
                   (Printf.sprintf "%s: %s ran %d times for %d bodies"

@@ -355,7 +355,8 @@ let golden_snapshot () =
     List.concat_map
       (fun (id, p) ->
         List.sort compare
-          (List.map Detectors.Report.to_string (Detectors.All.all p))
+          (List.map Detectors.Report.to_string
+             (Detectors.All.all_ctx (Rustudy.Cache.create p)))
         |> List.map (fun f -> id ^ "|" ^ f))
       (Lazy.force corpus_progs)
   in
@@ -390,7 +391,7 @@ let uaf_generic_path () =
     (List.exists
        (fun (f : Detectors.Report.finding) ->
          f.Detectors.Report.kind = Detectors.Report.Use_after_free)
-       (Detectors.Uaf.run p))
+       (Detectors.Uaf.run_ctx (Analysis.Cache.create p)))
 
 let suite =
   [

@@ -106,14 +106,14 @@ fn f(c: Arc<RwLock<I>>) {
         in
         let p = load src in
         Alcotest.(check bool) "double lock found" true
-          (Detectors.Double_lock.run p <> []);
+          (Detectors.Double_lock.run_ctx (Analysis.Cache.create p) <> []);
         let p' =
           Rustudy.load
             ~config:{ Ir.Lower.tmp_lifetime = Ir.Lower.Statement_local }
             ~file:"t.rs" src
         in
         Alcotest.(check bool) "ablated: no double lock" true
-          (Detectors.Double_lock.run p' = []));
+          (Detectors.Double_lock.run_ctx (Analysis.Cache.create p') = []));
     case "assignment drops the old value before writing" (fun () ->
         let p =
           load "fn f() { let mut v = vec![1u8]; v = vec![2u8]; }"

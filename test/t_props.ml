@@ -360,13 +360,16 @@ let gen_lock_program ~inject_bug =
   Buffer.add_string buf "}\n";
   return (Buffer.contents buf)
 
+let double_lock program =
+  Detectors.Double_lock.run_ctx (Rustudy.Cache.create program)
+
 let lock_discipline_sound =
   Test.make ~name:"well-nested lock sessions never report a double lock"
     ~count:200
     (make (gen_lock_program ~inject_bug:false))
     (fun src ->
       let program = Rustudy.load ~file:"locks.rs" src in
-      Rustudy.detect_double_lock program = [])
+      double_lock program = [])
 
 let lock_discipline_complete =
   Test.make
@@ -375,7 +378,7 @@ let lock_discipline_complete =
     (make (gen_lock_program ~inject_bug:true))
     (fun src ->
       let program = Rustudy.load ~file:"locks.rs" src in
-      Rustudy.detect_double_lock program <> [])
+      double_lock program <> [])
 
 (* Generated lock programs keep exactly one critical section per
    acquisition in the lock-scope report. *)
@@ -411,10 +414,10 @@ let ablation_monotone =
     (make (gen_lock_program ~inject_bug:true))
     (fun src ->
       let extended =
-        Rustudy.detect_double_lock (Rustudy.load ~file:"l.rs" src)
+        double_lock (Rustudy.load ~file:"l.rs" src)
       in
       let ablated =
-        Rustudy.detect_double_lock
+        double_lock
           (Rustudy.load
              ~config:{ Ir.Lower.tmp_lifetime = Ir.Lower.Statement_local }
              ~file:"l.rs" src)

@@ -156,7 +156,7 @@ let fuel =
         let r = Analysis.Pointsto.analyze (body_of src) in
         Alcotest.(check bool) "complete" true (Analysis.Pointsto.complete r));
     case "points-to degrades to incomplete when starved" (fun () ->
-        Rustudy.Fuel.with_budget 1 (fun () ->
+        Rustudy.Fuel.with_domain_budget 1 (fun () ->
             let r = Analysis.Pointsto.analyze (body_of src) in
             Alcotest.(check bool) "incomplete" false
               (Analysis.Pointsto.complete r)));
@@ -169,12 +169,12 @@ let fuel =
         let full = Analysis.Storage.analyze body in
         Alcotest.(check bool) "converged normally" true
           full.Analysis.Dataflow.IntSetFlow.converged;
-        Rustudy.Fuel.with_budget 1 (fun () ->
+        Rustudy.Fuel.with_domain_budget 1 (fun () ->
             let starved = Analysis.Storage.analyze body in
             Alcotest.(check bool) "unconverged" false
               starved.Analysis.Dataflow.IntSetFlow.converged));
     case "starved context reports Analysis_incomplete warnings" (fun () ->
-        Rustudy.Fuel.with_budget 1 (fun () ->
+        Rustudy.Fuel.with_domain_budget 1 (fun () ->
             match
               Rustudy.Cache.load_ctx_recovering ~file:"fuel-starved.rs"
                 "fn f() { let x = 1; let p = &x; *p; }"
@@ -187,11 +187,6 @@ let fuel =
                   (List.exists
                      (fun d -> d.Diag.code = Diag.Analysis_incomplete)
                      (Rustudy.Cache.diags ctx))));
-    case "with_budget restores the previous budget" (fun () ->
-        let before = Rustudy.Fuel.get () in
-        Rustudy.Fuel.with_budget 7 (fun () ->
-            Alcotest.(check int) "inside" 7 (Rustudy.Fuel.get ()));
-        Alcotest.(check int) "restored" before (Rustudy.Fuel.get ()));
   ]
 
 let suite = lexer_recovery @ parser_recovery @ pipeline_on_partial @ fuel

@@ -194,7 +194,8 @@ let edges () =
   List.iter
     (fun (name, src) ->
       let p = Rustudy.load ~file:(name ^ ".rs") src in
-      if D.All.bugs p = [] then Alcotest.failf "%s: no finding" name;
+      if D.All.bugs_ctx (Cache.create p) = [] then
+        Alcotest.failf "%s: no finding" name;
       ignore (check_program name p))
     edge_programs
 
@@ -243,6 +244,129 @@ let bodies_counter () =
       Alcotest.(check bool) "double_lock skips the pass-through bodies" true
         (read "double_lock" "skipped" > 0.))
 
+(* A program whose bodies pass every detector's gate. *)
+let admits_all =
+  {|
+struct Counter { n: Cell<u64> }
+unsafe impl Sync for Counter {}
+impl Counter {
+    pub fn bump(&self) {
+        self.n.set(1);
+    }
+}
+struct Seal { proposed: AtomicBool }
+impl Seal {
+    fn generate(&self) -> u32 {
+        if self.proposed.load() {
+            return 0u32;
+        }
+        self.proposed.store(true);
+        1u32
+    }
+}
+static INIT: Once = Once::new();
+fn init() {
+    INIT.call_once(|| {
+        let x = 1;
+    });
+}
+pub unsafe fn memory(v: u8) -> u8 {
+    let x = 1u8;
+    let p = &x as *const u8;
+    let b = Box::new(v);
+    let q = Box::into_raw(b);
+    let y = ptr::read(q);
+    *q = 2u8;
+    let n = ptr::null::<u8>();
+    let z = *n;
+    let mut buf: Vec<u8> = Vec::with_capacity(4);
+    buf.set_len(4);
+    let w = *buf.get_unchecked(1);
+    let s: String = mem::uninitialized();
+    y
+}
+pub fn locks(a: Arc<Mutex<u64>>, b: Arc<Mutex<u64>>, cv: Arc<Condvar>) {
+    let g = a.lock().unwrap();
+    let h = b.lock().unwrap();
+    let g2 = cv.wait(g).unwrap();
+}
+pub fn chan() {
+    let (tx, rx) = channel::<u32>();
+    let job = rx.recv().unwrap();
+}
+pub fn twice(c: RefCell<u64>) -> u64 {
+    let a = c.borrow_mut();
+    let b = c.borrow_mut();
+    0
+}
+|}
+
+(* The detector names are written twice: in [All.detectors], which
+   labels the spans and run counters, and in each detector's call to
+   [Gate.select], which labels the body counter. One traced, metered
+   [bugs_ctx] must count every table name once, label bodies only with
+   table names, and run the table in reverse order. *)
+let names_agree () =
+  let module M = Support.Metrics in
+  let module T = Support.Trace in
+  let names = List.map fst D.All.detectors in
+  let was_m = M.enabled () and was_t = T.enabled () in
+  Fun.protect
+    ~finally:(fun () ->
+      if not was_m then M.disable ();
+      if not was_t then T.disable ();
+      T.reset ())
+    (fun () ->
+      M.enable ();
+      T.enable ();
+      M.reset ();
+      T.reset ();
+      let p = Rustudy.load ~file:"admits-all.rs" admits_all in
+      ignore (D.All.bugs_ctx (Cache.create p));
+      List.iter
+        (fun name ->
+          Alcotest.(check (float 0.01))
+            (name ^ " runs") 1.
+            (M.read_counter ~labels:[ name ] "rustudy_detector_runs_total");
+          Alcotest.(check bool)
+            (name ^ " admits a body") true
+            (M.read_counter ~labels:[ name; "visited" ]
+               "rustudy_detector_bodies_total"
+            > 0.))
+        names;
+      (* every label the body counter carries, from the text export *)
+      let prefix = "rustudy_detector_bodies_total{detector=\"" in
+      let labelled =
+        List.filter_map
+          (fun line ->
+            if String.starts_with ~prefix line then
+              let from = String.length prefix in
+              let upto = String.index_from line from '"' in
+              Some (String.sub line from (upto - from))
+            else None)
+          (String.split_on_char '\n' (M.export_prometheus ()))
+      in
+      Alcotest.(check bool) "the body counter has samples" true
+        (labelled <> []);
+      List.iter
+        (fun l ->
+          if not (List.mem l names) then
+            Alcotest.failf "body counter label %S is not a table name" l)
+        labelled;
+      let spans =
+        match Support.Sjson.parse (T.export_chrome ()) with
+        | Support.Sjson.List events ->
+            List.filter_map
+              (fun e ->
+                match Support.Sjson.str_member "name" e with
+                | Some n when String.starts_with ~prefix:"detector." n ->
+                    Some (String.sub n 9 (String.length n - 9))
+                | _ -> None)
+              events
+        | _ -> Alcotest.fail "trace export is not a JSON array"
+      in
+      Alcotest.(check (list string)) "span order" (List.rev names) spans)
+
 let suite =
   [
     case "gates exclude only bodies that cannot report (corpus + mutants)"
@@ -252,4 +376,6 @@ let suite =
     case "gates exclude only bodies that cannot report (edge programs)" edges;
     case "detector body counter splits visited and skipped by the gate"
       bodies_counter;
+    case "detector table names agree with gate labels and span order"
+      names_agree;
   ]

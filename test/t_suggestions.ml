@@ -7,6 +7,8 @@ let case name f = Alcotest.test_case name `Quick f
 
 let load src = Rustudy.load ~file:"t.rs" src
 
+let refcell p = Detectors.Refcell.run_ctx (Analysis.Cache.create p)
+
 let suite =
   [
     case "refcell: borrow_mut during outstanding borrow panics" (fun () ->
@@ -18,19 +20,19 @@ let suite =
           (List.exists
              (fun (f : Rustudy.Finding.finding) ->
                f.Rustudy.Finding.kind = Rustudy.Finding.Borrow_conflict)
-             (Detectors.Refcell.run p)));
+             (refcell p)));
     case "refcell: shared/shared borrows are fine" (fun () ->
         let p =
           load
             "struct S { c: RefCell<u32> } fn f(s: Arc<S>) { let a = s.c.borrow(); let b = s.c.borrow(); }"
         in
-        Alcotest.(check int) "clean" 0 (List.length (Detectors.Refcell.run p)));
+        Alcotest.(check int) "clean" 0 (List.length (refcell p)));
     case "refcell: drop ends the borrow" (fun () ->
         let p =
           load
             "struct S { c: RefCell<u32> } fn f(s: Arc<S>) { let a = s.c.borrow(); drop(a); let b = s.c.borrow_mut(); }"
         in
-        Alcotest.(check int) "clean" 0 (List.length (Detectors.Refcell.run p)));
+        Alcotest.(check int) "clean" 0 (List.length (refcell p)));
     case "lock-scope: reports acquire, release and blocking ops inside"
       (fun () ->
         let p =

@@ -178,16 +178,23 @@ let scc_props =
    rendered text. *)
 let render findings = String.concat "\n" (List.map Rustudy.Finding.to_string findings)
 
+(* The two interprocedural detectors, each on a private context. *)
+let uaf ?assume_extern_derefs mode p =
+  Detectors.Uaf.run_ctx ?assume_extern_derefs ~mode (Analysis.Cache.create p)
+
+let double_lock mode p =
+  Detectors.Double_lock.run_ctx ~mode (Analysis.Cache.create p)
+
 let both_modes label (program : Rustudy.Mir.program) =
   let check name run =
     let s = render (run Summary.Summary) and r = render (run Summary.Replay) in
     Alcotest.(check string) (label ^ ": " ^ name) r s
   in
-  check "double_lock" (fun mode -> Detectors.Double_lock.run ~mode program);
+  check "double_lock" (fun mode -> double_lock mode program);
   check "uaf extern=true" (fun mode ->
-      Detectors.Uaf.run ~assume_extern_derefs:true ~mode program);
+      uaf ~assume_extern_derefs:true mode program);
   check "uaf extern=false" (fun mode ->
-      Detectors.Uaf.run ~assume_extern_derefs:false ~mode program)
+      uaf ~assume_extern_derefs:false mode program)
 
 let differential =
   [
@@ -234,9 +241,9 @@ let differential =
                 e.Rustudy.Corpus.source
             in
             let once () =
-              render (Detectors.Uaf.run ~mode:Summary.Summary p)
+              render (uaf Summary.Summary p)
               ^ "\x00"
-              ^ render (Detectors.Double_lock.run ~mode:Summary.Summary p)
+              ^ render (double_lock Summary.Summary p)
             in
             Alcotest.(check string) e.Rustudy.Corpus.id (once ()) (once ()))
           Rustudy.Corpus.all_bugs);
@@ -316,14 +323,12 @@ let recursion =
         in
         Alcotest.(check (list string))
           "distinct double-lock findings agree"
-          (distinct (fun () ->
-               Detectors.Double_lock.run ~mode:Summary.Replay p))
-          (distinct (fun () ->
-               Detectors.Double_lock.run ~mode:Summary.Summary p));
+          (distinct (fun () -> double_lock Summary.Replay p))
+          (distinct (fun () -> double_lock Summary.Summary p));
         Alcotest.(check (list string))
           "distinct uaf findings agree"
-          (distinct (fun () -> Detectors.Uaf.run ~mode:Summary.Replay p))
-          (distinct (fun () -> Detectors.Uaf.run ~mode:Summary.Summary p)));
+          (distinct (fun () -> uaf Summary.Replay p))
+          (distinct (fun () -> uaf Summary.Summary p)));
     case "a held guard across a call into a lock cycle reports once"
       (fun () ->
         (* every member of the a0..a3 cycle reaches the same
@@ -331,7 +336,7 @@ let recursion =
            set of (lock path, kind) entries, so the laps add nothing
            and the one interprocedural double lock is one line *)
         let p = Rustudy.load ~file:"ring.rs" ring_src in
-        let run mode = render (Detectors.Double_lock.run ~mode p) in
+        let run mode = render (double_lock mode p) in
         let s = run Summary.Summary in
         Alcotest.(check int) "one finding line" 1
           (List.length (String.split_on_char '\n' s));
@@ -459,7 +464,7 @@ let metrics =
             let c0 = read "rustudy_summary_computed_total" "uaf" in
             let i0 = read "rustudy_summary_instantiated_total" "uaf" in
             let p = Rustudy.load ~file:"chain3.rs" chain3_src in
-            ignore (Detectors.Uaf.run ~mode:Summary.Summary p);
+            ignore (uaf Summary.Summary p);
             let c1 = read "rustudy_summary_computed_total" "uaf" in
             let i1 = read "rustudy_summary_instantiated_total" "uaf" in
             (* three bodies: three summary computations; [mid] and
@@ -533,7 +538,7 @@ let parallel =
         done;
         Buffer.add_string src "    v0\n}\n";
         let p = Rustudy.load ~file:"par.rs" (Buffer.contents src) in
-        let seq = render (Detectors.Uaf.run ~mode:Summary.Summary p) in
+        let seq = render (uaf Summary.Summary p) in
         let ctx = Rustudy.Cache.create p in
         let tbl =
           Summary.compute ~domains:2 ctx

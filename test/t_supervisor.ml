@@ -84,22 +84,10 @@ let deadline =
           (Deadline.current () = None));
   ]
 
-(* ---------------- fuel CAS restore ---------------------------------- *)
+(* ---------------- per-domain fuel budget ---------------------------- *)
 
 let fuel =
   [
-    case "with_budget restore is compare-and-set, not a blind write"
-      (fun () ->
-        let saved = Rustudy.Fuel.get () in
-        Rustudy.Fuel.set 1111;
-        (* a concurrent [set] during the scope must survive the exit *)
-        Rustudy.Fuel.with_budget 2222 (fun () -> Rustudy.Fuel.set 3333);
-        Alcotest.(check int) "concurrent set wins" 3333 (Rustudy.Fuel.get ());
-        (* the undisturbed case still restores *)
-        Rustudy.Fuel.with_budget 2222 (fun () ->
-            Alcotest.(check int) "applied inside" 2222 (Rustudy.Fuel.get ()));
-        Alcotest.(check int) "restored after" 3333 (Rustudy.Fuel.get ());
-        Rustudy.Fuel.set saved);
     case "domain-scoped budget shadows the global one locally" (fun () ->
         let saved = Rustudy.Fuel.get () in
         Rustudy.Fuel.set 5000;

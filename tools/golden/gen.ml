@@ -6,7 +6,8 @@ let () =
       let p = Rustudy.load ~file:(e.Corpus.id ^ ".rs") e.Corpus.source in
       let fs =
         List.sort compare
-          (List.map Detectors.Report.to_string (Detectors.All.all p))
+          (List.map Detectors.Report.to_string
+             (Detectors.All.all_ctx (Rustudy.Cache.create p)))
       in
       List.iter (fun f -> Printf.printf "%s|%s\n" e.Corpus.id f) fs)
     Corpus.all_bugs
