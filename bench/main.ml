@@ -184,11 +184,24 @@ let scale_program shape n : Rustudy.Mir.program =
 
 (* One interprocedural pass: both summary-carrying detectors over a
    fresh analysis context (the per-ctx summary-table memo must not
-   carry over between timed runs). *)
-let interproc_pass ~mode program =
+   carry over between timed runs), through the summary engine
+   ([run_ctx]) or the legacy replay fixpoints ([compute_summaries] +
+   [check_body] over the same gated bodies). *)
+let summary_pass program =
   let ctx = Rustudy.Cache.create program in
-  ignore (Detectors.Double_lock.run_ctx ~mode ctx);
-  ignore (Detectors.Uaf.run_ctx ~mode ctx)
+  ignore (Detectors.Double_lock.run_ctx ctx);
+  ignore (Detectors.Uaf.run_ctx ctx)
+
+let replay_pass program =
+  let ctx = Rustudy.Cache.create program in
+  let dl = Detectors.Double_lock.compute_summaries ctx in
+  List.iter
+    (fun b -> ignore (Detectors.Double_lock.check_body ctx dl b))
+    (Detectors.Gate.select ctx "double_lock" ~gate:Detectors.Gate.double_lock);
+  let uaf = Detectors.Uaf.compute_summaries ctx in
+  List.iter
+    (fun b -> ignore (Detectors.Uaf.check_body ctx uaf b))
+    (Detectors.Gate.select ctx "uaf" ~gate:Detectors.Gate.uaf)
 
 (* ------------------------------------------------------------------ *)
 (* Ablations (DESIGN.md)                                               *)
@@ -486,10 +499,8 @@ let interproc_rows ~shapes ~sizes () =
                 wall ~reps f *. 1e9 )
             in
             [
-              row "replay" (fun () ->
-                  interproc_pass ~mode:Rustudy.Summary.Replay p);
-              row "summary_cold" (fun () ->
-                  interproc_pass ~mode:Rustudy.Summary.Summary p);
+              row "replay" (fun () -> replay_pass p);
+              row "summary_cold" (fun () -> summary_pass p);
             ])
           sizes)
       shapes

@@ -59,26 +59,6 @@ let deadline_opt =
 
 let apply_deadline deadline = Option.iter Rustudy.Deadline.set_default_ms deadline
 
-let interproc_opt =
-  let modes =
-    Arg.enum
-      [
-        ("summary", Rustudy.Summary.Summary); ("replay", Rustudy.Summary.Replay);
-      ]
-  in
-  Arg.(
-    value
-    & opt (some modes) None
-    & info [ "interproc" ] ~docv:"MODE"
-        ~doc:
-          "Interprocedural engine for the cross-function detectors: \
-           $(b,summary) (default) computes per-function summaries bottom-up \
-           over the SCC-condensed call graph, $(b,replay) keeps the legacy \
-           whole-program fixpoint. Findings are identical; summary scales to \
-           large programs.")
-
-let apply_interproc mode = Option.iter Rustudy.Summary.set_default_mode mode
-
 (* ---------------- observability ------------------------------------ *)
 
 type obs = {
@@ -223,10 +203,9 @@ let check_cmd =
              syntax error: findings cover the healthy parts of the file and \
              recovery diagnostics go to stderr (exit code 2).")
   in
-  let run file statement_tmp keep_going fuel deadline interproc obs =
+  let run file statement_tmp keep_going fuel deadline obs =
     apply_fuel fuel;
     apply_deadline deadline;
-    apply_interproc interproc;
     with_obs obs @@ fun () ->
     (* the body lives in Server.Handlers, shared verbatim with the
        analysis daemon: printing the outcome here is what makes a
@@ -239,7 +218,7 @@ let check_cmd =
   Cmd.v (Cmd.info "check" ~doc:"Run all bug detectors on a RustLite file")
     Term.(
       const run $ file_arg $ statement_tmp $ keep_going $ fuel_opt
-      $ deadline_opt $ interproc_opt $ obs_term)
+      $ deadline_opt $ obs_term)
 
 (* ---------------- mir --------------------------------------------- *)
 
@@ -282,10 +261,9 @@ let detect_cmd =
   let eval_flag =
     Arg.(value & flag & info [ "eval" ] ~doc:"Run the §7 detector evaluation")
   in
-  let run eval domains fuel deadline interproc obs =
+  let run eval domains fuel deadline obs =
     apply_fuel fuel;
     apply_deadline deadline;
-    apply_interproc interproc;
     with_obs obs @@ fun () ->
     if eval then
       (* per-target isolation is always on for corpus commands: a
@@ -300,8 +278,7 @@ let detect_cmd =
   Cmd.v
     (Cmd.info "detect" ~doc:"Run the detector evaluation over the target corpus")
     Term.(
-      const run $ eval_flag $ domains_opt $ fuel_opt $ deadline_opt
-      $ interproc_opt $ obs_term)
+      const run $ eval_flag $ domains_opt $ fuel_opt $ deadline_opt $ obs_term)
 
 (* ---------------- oracle ------------------------------------------ *)
 
@@ -535,10 +512,9 @@ let study_cmd =
              ladder are unaffected.")
   in
   let run table figure fixes unsafe_ csv domains no_keep_going fuel deadline
-      interproc run_deadline retries checkpoint resume quiet obs =
+      run_deadline retries checkpoint resume quiet obs =
     apply_fuel fuel;
     apply_deadline deadline;
-    apply_interproc interproc;
     with_obs obs @@ fun () ->
     let supervised =
       deadline <> None || run_deadline <> None || retries <> None
@@ -657,7 +633,7 @@ let study_cmd =
     (Cmd.info "study" ~doc:"Regenerate the paper's tables and figures from the corpus")
     Term.(
       const run $ table $ figure $ fixes $ unsafe_ $ csv $ domains_opt
-      $ no_keep_going $ fuel_opt $ deadline_opt $ interproc_opt $ run_deadline
+      $ no_keep_going $ fuel_opt $ deadline_opt $ run_deadline
       $ retries $ checkpoint $ resume $ quiet $ obs_term)
 
 (* ---------------- serve -------------------------------------------- *)

@@ -344,8 +344,8 @@ let calls_of (ctx : Analysis.Cache.t) (body : Mir.body) :
    reaches more than [summary_cap] distinct lock paths; real programs
    sit far below it (the whole corpus stays under a handful per
    function). Every function keeps its first [summary_cap] exportable
-   entries. Shared by both interprocedural modes, keeping their
-   findings aligned. *)
+   entries. Shared by the engine and the replay fixpoint, keeping
+   their findings aligned. *)
 let summary_cap = 32
 
 (* The first [summary_cap] distinct exportable entries, in order of
@@ -366,10 +366,10 @@ let same_entries a b =
   && List.for_all (fun e -> List.exists (entry_equal e) b) a
 
 (* Recompute one function's summary from its own acquisitions plus its
-   callees' current summaries. Both interprocedural modes — the legacy
-   whole-program fixpoint and the SCC-scheduled engine — share this, so
-   at a converged fixpoint they produce entry lists in the same order
-   and the detection pass reports byte-identical findings. [lookup]
+   callees' current summaries. The legacy whole-program fixpoint and
+   the SCC-scheduled engine share this, so at a converged fixpoint
+   they produce entry lists in the same order and the detection pass
+   reports byte-identical findings. [lookup]
    returning [None] or [Some []] both mean "callee adds nothing". *)
 let summary_of_body ~(lookup : string -> summary_entry list option)
     (ctx : Analysis.Cache.t) (body : Mir.body) : summary_entry list =
@@ -394,11 +394,12 @@ let summary_of_body ~(lookup : string -> summary_entry list option)
   in
   dedup_exportable (direct @ from_calls)
 
-(* Replay mode: the legacy whole-program chaotic fixpoint, kept behind
-   [--interproc=replay] for differential testing. Iterates every body
-   per round in [fn_id] order with a global round cap — propagation
-   depth depends on how the iteration order aligns with call direction,
-   which is what the summary engine's bottom-up schedule fixes. *)
+(* Replay: the legacy whole-program chaotic fixpoint, kept as the
+   reference the differential tests compare the summary engine
+   against. Iterates every body per round in [fn_id] order with a
+   global round cap — propagation depth depends on how the iteration
+   order aligns with call direction, which is what the summary
+   engine's bottom-up schedule fixes. *)
 let compute_summaries (ctx : Analysis.Cache.t) : summaries =
   let tbl : summaries = Hashtbl.create 16 in
   let bodies = Mir.body_list (Analysis.Cache.program ctx) in
@@ -427,7 +428,7 @@ let compute_summaries (ctx : Analysis.Cache.t) : summaries =
     tbl
   end
 
-(* Summary mode: the SCC-scheduled bottom-up engine. *)
+(* The SCC-scheduled bottom-up engine. *)
 let summary_tbl_key : summaries Analysis.Cache.Ext.key =
   Analysis.Cache.Ext.create ()
 
@@ -438,11 +439,11 @@ let summary_client ctx : summary_entry list Analysis.Summary.client =
     compute = (fun ~lookup body -> summary_of_body ~lookup ctx body);
   }
 
-let engine_summaries ?domains (ctx : Analysis.Cache.t) : summaries =
+let engine_summaries (ctx : Analysis.Cache.t) : summaries =
   Analysis.Cache.ext_program ctx summary_tbl_key ~compute:(fun () ->
       if not (Gate.double_lock (Analysis.Cache.program_sites ctx)) then
         Hashtbl.create 1
-      else Analysis.Summary.compute ?domains ctx (summary_client ctx))
+      else Analysis.Summary.compute ctx (summary_client ctx))
 
 (* ------------------------------------------------------------------ *)
 (* Detection                                                           *)
@@ -555,17 +556,11 @@ let check_body (ctx : Analysis.Cache.t) (summaries : summaries)
 
 (** Run the double-lock detector with a shared analysis context.
     [interprocedural:false] ablates the cross-function summaries
-    (intraprocedural double locks are still found); [?mode] picks the
-    summary engine vs the legacy replay fixpoint (defaults to
-    [Analysis.Summary.default_mode ()]). *)
-let run_ctx ?(interprocedural = true) ?mode (ctx : Analysis.Cache.t) :
+    (intraprocedural double locks are still found). *)
+let run_ctx ?(interprocedural = true) (ctx : Analysis.Cache.t) :
     Report.finding list =
   let summaries =
-    if not interprocedural then Hashtbl.create 1
-    else
-      match Analysis.Summary.resolve_mode mode with
-      | Analysis.Summary.Summary -> engine_summaries ctx
-      | Analysis.Summary.Replay -> compute_summaries ctx
+    if interprocedural then engine_summaries ctx else Hashtbl.create 1
   in
   List.concat_map (check_body ctx summaries)
     (Gate.select ctx "double_lock" ~gate:Gate.double_lock)

@@ -51,23 +51,21 @@ type summaries
 (** Per-function lock-acquisition summaries. *)
 
 val compute_summaries : Analysis.Cache.t -> summaries
-(** The legacy whole-program replay fixpoint. *)
+(** The legacy whole-program replay fixpoint: the reference the engine
+    is tested against. *)
 
 val check_body :
   Analysis.Cache.t -> summaries -> Mir.body -> Report.finding list
 (** One body, ungated: [run_ctx] applies {!Gate.double_lock} first. *)
 
 val run_ctx :
-  ?interprocedural:bool ->
-  ?mode:Analysis.Summary.mode ->
-  Analysis.Cache.t ->
-  Report.finding list
-(** Run the detector with a shared analysis context.
+  ?interprocedural:bool -> Analysis.Cache.t -> Report.finding list
+(** Run the detector with a shared analysis context, on summaries from
+    the SCC-scheduled engine ({!Analysis.Summary.compute}).
     [interprocedural:false] (default [true]) ablates the cross-function
-    summaries; [?mode] (default [Analysis.Summary.default_mode ()])
-    picks the SCC-scheduled summary engine vs the legacy whole-program
-    replay fixpoint — their findings agree at convergence, and the
-    differential suite holds them byte-identical over the corpus. *)
+    summaries. The engine's findings agree with [check_body] over
+    {!compute_summaries} at convergence, and the differential suite
+    holds them byte-identical over the corpus. *)
 
 val order_pairs :
   Mir.body -> (Analysis.Alias.t * Analysis.Alias.t * Support.Span.t) list

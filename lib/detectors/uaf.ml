@@ -161,7 +161,7 @@ let derefs_of ~assume_extern_derefs (ctx : Analysis.Cache.t) (body : Mir.body)
 (* Recompute one function's deref-parameter set from its direct derefs
    plus its callees' current summaries. Shared by the legacy replay
    fixpoint and the SCC-scheduled engine: the transfer is monotone with
-   a unique least fixpoint, so both modes converge to the same sets.
+   a unique least fixpoint, so both converge to the same sets.
    [lookup] returning [None] means "no parameter dereferenced" (bottom),
    matching the replay table's membership test. *)
 let summary_of_body ~assume_extern_derefs
@@ -175,8 +175,8 @@ let summary_of_body ~assume_extern_derefs
       | _ -> acc)
     direct oblig
 
-(* Replay mode: the legacy whole-program fixpoint, kept behind
-   [--interproc=replay] for differential testing. *)
+(* Replay: the legacy whole-program fixpoint, kept as the reference
+   the differential tests compare the summary engine against. *)
 let compute_summaries ?(assume_extern_derefs = true) (ctx : Analysis.Cache.t)
     : summaries =
   let tbl : summaries = Hashtbl.create 16 in
@@ -204,8 +204,8 @@ let compute_summaries ?(assume_extern_derefs = true) (ctx : Analysis.Cache.t)
   done;
   tbl
 
-(* Summary mode: the SCC-scheduled bottom-up engine, one per-context
-   table per extern-assumption flag (the flag changes the summaries). *)
+(* The SCC-scheduled bottom-up engine, one per-context table per
+   extern-assumption flag (the flag changes the summaries). *)
 let summary_tbl_key_extern : summaries Analysis.Cache.Ext.key =
   Analysis.Cache.Ext.create ()
 
@@ -222,15 +222,14 @@ let summary_client ~assume_extern_derefs ctx : IntSet.t Analysis.Summary.client
         summary_of_body ~assume_extern_derefs ~lookup ctx body);
   }
 
-let engine_summaries ?domains ~assume_extern_derefs (ctx : Analysis.Cache.t) :
+let engine_summaries ~assume_extern_derefs (ctx : Analysis.Cache.t) :
     summaries =
   let tbl_key =
     if assume_extern_derefs then summary_tbl_key_extern
     else summary_tbl_key_no_extern
   in
   Analysis.Cache.ext_program ctx tbl_key ~compute:(fun () ->
-      Analysis.Summary.compute ?domains ctx
-        (summary_client ~assume_extern_derefs ctx))
+      Analysis.Summary.compute ctx (summary_client ~assume_extern_derefs ctx))
 
 (* ------------------------------------------------------------------ *)
 (* The detector                                                        *)
@@ -486,17 +485,11 @@ let check_body ?(assume_extern_derefs = true) (ctx : Analysis.Cache.t)
     Analysis.Cache.deadline_warning ctx body.Mir.fn_id "use-after-free replay";
   !findings
 
-(** Run the use-after-free detector with a shared analysis context.
-    [?mode] picks the SCC-scheduled summary engine vs the legacy replay
-    fixpoint (defaults to [Analysis.Summary.default_mode ()]); both
-    converge to the same least fixpoint, so the findings agree. *)
-let run_ctx ?(assume_extern_derefs = true) ?mode (ctx : Analysis.Cache.t) :
+(** Run the use-after-free detector with a shared analysis context,
+    on summaries from the SCC-scheduled engine. *)
+let run_ctx ?(assume_extern_derefs = true) (ctx : Analysis.Cache.t) :
     Report.finding list =
-  let summaries =
-    match Analysis.Summary.resolve_mode mode with
-    | Analysis.Summary.Summary -> engine_summaries ~assume_extern_derefs ctx
-    | Analysis.Summary.Replay -> compute_summaries ~assume_extern_derefs ctx
-  in
+  let summaries = engine_summaries ~assume_extern_derefs ctx in
   List.concat_map
     (check_body ~assume_extern_derefs ctx summaries)
     (Gate.select ctx "uaf" ~gate:Gate.uaf)

@@ -15,7 +15,9 @@ type summaries
 
 val compute_summaries :
   ?assume_extern_derefs:bool -> Analysis.Cache.t -> summaries
-(** Fixpoint deref-parameter summaries for a whole program.
+(** Fixpoint deref-parameter summaries for a whole program, by the
+    legacy whole-program replay: the reference the engine is tested
+    against.
     [assume_extern_derefs] (default [true]) is the paper's
     approximation that FFI callees dereference their raw-pointer
     arguments; it is the source of the evaluation's three false
@@ -31,11 +33,8 @@ val check_body :
     [run_ctx] applies {!Gate.uaf} first. *)
 
 val run_ctx :
-  ?assume_extern_derefs:bool ->
-  ?mode:Analysis.Summary.mode ->
-  Analysis.Cache.t ->
-  Report.finding list
-(** Run the detector through a shared analysis context. [?mode]
-    (default [Analysis.Summary.default_mode ()]) picks the
-    SCC-scheduled summary engine vs the legacy whole-program replay
-    fixpoint; both converge to the same least fixpoint. *)
+  ?assume_extern_derefs:bool -> Analysis.Cache.t -> Report.finding list
+(** Run the detector through a shared analysis context, on summaries
+    from the SCC-scheduled engine ({!Analysis.Summary.compute}). It
+    converges to the same least fixpoint as {!compute_summaries}, so
+    [check_body] over those summaries gives the same findings. *)

@@ -19,14 +19,14 @@ let default_domains () =
 
 (** Shared engine behind [try_map]/[map]: applies [f] to every element
     of [items], using up to [domains] domains (default:
-    [Domain.recommended_domain_count ()]). Every call of [f] is
+    [default_domains ()]). Every call of [f] is
     isolated: an exception becomes [Error (exn, backtrace)] in that
     item's slot and the remaining items still run. The result list is
     in input order. [f] must be safe to run concurrently with itself
     from multiple domains. Falls back to a sequential loop (same
     isolation) when [domains <= 1] or the input has fewer than two
     elements. *)
-let run_raw ?domains ?chunk ~(f : 'a -> 'b) (items : 'a list) :
+let run_raw ?domains ~(f : 'a -> 'b) (items : 'a list) :
     ('b, exn * Printexc.raw_backtrace) result list =
   let one x =
     match f x with
@@ -52,11 +52,7 @@ let run_raw ?domains ?chunk ~(f : 'a -> 'b) (items : 'a list) :
     (* claim runs of [chunk] indices per fetch_and_add so per-item
        contention on [next] amortizes; ~4 chunks per worker keeps the
        tail balanced when item costs are uneven *)
-    let chunk =
-      match chunk with
-      | Some c -> max 1 c
-      | None -> max 1 (n / (workers * 4))
-    in
+    let chunk = max 1 (n / (workers * 4)) in
     let worker () =
       let rec loop () =
         let i0 = Atomic.fetch_and_add next chunk in
@@ -78,20 +74,17 @@ let run_raw ?domains ?chunk ~(f : 'a -> 'b) (items : 'a list) :
          | None -> assert false (* every index was claimed *))
   end
 
-let try_map ?domains ?chunk ~(f : 'a -> 'b) (items : 'a list) :
+let try_map ?domains ~(f : 'a -> 'b) (items : 'a list) :
     ('b, exn) result list =
-  run_raw ?domains ?chunk ~f items
+  run_raw ?domains ~f items
   |> List.map (function Ok v -> Ok v | Error (e, _) -> Error e)
 
 (** [map ?domains ~f items] is [List.map f items] computed by the pool.
     The first exception raised by [f] (in input order) is re-raised —
     with its original backtrace — after all domains have joined; the
     other items still ran. *)
-let map ?domains ?chunk ~(f : 'a -> 'b) (items : 'a list) : 'b list =
-  run_raw ?domains ?chunk ~f items
+let map ?domains ~(f : 'a -> 'b) (items : 'a list) : 'b list =
+  run_raw ?domains ~f items
   |> List.map (function
        | Ok v -> v
        | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
-
-(** Sequential reference implementation, for comparisons and tests. *)
-let sequential_map ~f items = List.map f items

@@ -1,9 +1,10 @@
 (* The summary-based interprocedural engine (Analysis.Summary):
    QCheck properties of the SCC condensation against a brute-force
-   reachability oracle, differential byte-identity of summary-mode vs
-   replay-mode detector findings over the full corpus and every fault
-   mutant, once-per-context summaries on large programs, the escape
-   client, and the parallel wave path. *)
+   reachability oracle, differential byte-identity of the engine's
+   detector findings vs the legacy replay fixpoints over the full
+   corpus and every fault mutant, once-per-context summaries on large
+   programs, tracing that changes no work, and the engine's deadline
+   path. *)
 
 module Summary = Rustudy.Summary
 module Scc = Rustudy.Summary.Scc
@@ -106,36 +107,12 @@ let scc_acyclic_reverse_topo =
             (fun v ->
               let cu = scc.Scc.comp_of.(u) and cv = scc.Scc.comp_of.(v) in
               (* callees must be emitted before callers, so every edge
-                 leaving a component lands in a smaller id; [order] is
-                 the identity over ids, making it a valid
-                 reverse-topological order *)
+                 leaving a component lands in a smaller id, making
+                 ascending ids a valid reverse-topological order *)
               if cu <> cv && cv >= cu then ok := false)
             vs)
         succs;
-      !ok
-      && Array.length scc.Scc.order = scc.Scc.count
-      && Array.for_all
-           (fun i -> scc.Scc.order.(i) = i)
-           (Array.init scc.Scc.count (fun i -> i)))
-
-let scc_waves =
-  prop "condense: waves partition the order and only depend on earlier \
-        waves" (fun (n, succs) ->
-      let scc = Scc.condense ~n ~succs in
-      ignore n;
-      let wave_of = Array.make scc.Scc.count (-1) in
-      Array.iteri
-        (fun w cs -> Array.iter (fun c -> wave_of.(c) <- w) cs)
-        scc.Scc.waves;
-      Array.for_all (fun w -> w >= 0) wave_of
-      && Array.for_all
-           (fun u ->
-             Array.for_all
-               (fun v ->
-                 let cu = scc.Scc.comp_of.(u) and cv = scc.Scc.comp_of.(v) in
-                 cu = cv || wave_of.(cv) < wave_of.(cu))
-               succs.(u))
-           (Array.init (Array.length succs) (fun i -> i)))
+      !ok)
 
 let scc_has_cycle =
   prop "condense: has_cycle iff multi-member or self-loop" (fun (n, succs) ->
@@ -157,8 +134,6 @@ let scc_deterministic =
       a.Scc.count = b.Scc.count
       && a.Scc.comp_of = b.Scc.comp_of
       && a.Scc.members = b.Scc.members
-      && a.Scc.order = b.Scc.order
-      && a.Scc.waves = b.Scc.waves
       && a.Scc.has_cycle = b.Scc.has_cycle)
 
 let scc_props =
@@ -167,7 +142,6 @@ let scc_props =
       scc_partition;
       scc_oracle;
       scc_acyclic_reverse_topo;
-      scc_waves;
       scc_has_cycle;
       scc_deterministic;
     ]
@@ -178,23 +152,42 @@ let scc_props =
    rendered text. *)
 let render findings = String.concat "\n" (List.map Rustudy.Finding.to_string findings)
 
-(* The two interprocedural detectors, each on a private context. *)
-let uaf ?assume_extern_derefs mode p =
-  Detectors.Uaf.run_ctx ?assume_extern_derefs ~mode (Analysis.Cache.create p)
+(* The two interprocedural detectors, each on a private context,
+   through the summary engine ([run_ctx])... *)
+let uaf ?assume_extern_derefs p =
+  Detectors.Uaf.run_ctx ?assume_extern_derefs (Analysis.Cache.create p)
 
-let double_lock mode p =
-  Detectors.Double_lock.run_ctx ~mode (Analysis.Cache.create p)
+let double_lock p = Detectors.Double_lock.run_ctx (Analysis.Cache.create p)
 
-let both_modes label (program : Rustudy.Mir.program) =
-  let check name run =
-    let s = render (run Summary.Summary) and r = render (run Summary.Replay) in
-    Alcotest.(check string) (label ^ ": " ^ name) r s
+(* ...and through the legacy replay fixpoints, over the same gated
+   bodies: the reference the engine must agree with. *)
+let replay_uaf ?assume_extern_derefs p =
+  let ctx = Analysis.Cache.create p in
+  let sums = Detectors.Uaf.compute_summaries ?assume_extern_derefs ctx in
+  List.concat_map
+    (Detectors.Uaf.check_body ?assume_extern_derefs ctx sums)
+    (Detectors.Gate.select ctx "uaf" ~gate:Detectors.Gate.uaf)
+
+let replay_double_lock p =
+  let ctx = Analysis.Cache.create p in
+  let sums = Detectors.Double_lock.compute_summaries ctx in
+  List.concat_map
+    (Detectors.Double_lock.check_body ctx sums)
+    (Detectors.Gate.select ctx "double_lock" ~gate:Detectors.Gate.double_lock)
+
+let against_replay label (program : Rustudy.Mir.program) =
+  let check name engine replay =
+    Alcotest.(check string) (label ^ ": " ^ name) (render replay)
+      (render engine)
   in
-  check "double_lock" (fun mode -> double_lock mode program);
-  check "uaf extern=true" (fun mode ->
-      uaf ~assume_extern_derefs:true mode program);
-  check "uaf extern=false" (fun mode ->
-      uaf ~assume_extern_derefs:false mode program)
+  check "double_lock" (double_lock program) (replay_double_lock program);
+  List.iter
+    (fun extern ->
+      check
+        (Printf.sprintf "uaf extern=%b" extern)
+        (uaf ~assume_extern_derefs:extern program)
+        (replay_uaf ~assume_extern_derefs:extern program))
+    [ true; false ]
 
 let differential =
   [
@@ -206,7 +199,7 @@ let differential =
               Rustudy.load ~file:(e.Rustudy.Corpus.id ^ ".rs")
                 e.Rustudy.Corpus.source
             in
-            both_modes e.Rustudy.Corpus.id p)
+            against_replay e.Rustudy.Corpus.id p)
           Rustudy.Corpus.all_bugs);
     case "summary findings byte-identical to replay on every fault mutant"
       (fun () ->
@@ -225,7 +218,7 @@ let differential =
                 with
                 | Ok ctx ->
                     incr compared;
-                    both_modes label (Rustudy.Cache.program ctx)
+                    against_replay label (Rustudy.Cache.program ctx)
                 | Error _ -> ())
               (Fault.mutations ~seed:0x5EED e.Rustudy.Corpus.source))
           Rustudy.Corpus.all_bugs;
@@ -241,9 +234,7 @@ let differential =
                 e.Rustudy.Corpus.source
             in
             let once () =
-              render (uaf Summary.Summary p)
-              ^ "\x00"
-              ^ render (double_lock Summary.Summary p)
+              render (uaf p) ^ "\x00" ^ render (double_lock p)
             in
             Alcotest.(check string) e.Rustudy.Corpus.id (once ()) (once ()))
           Rustudy.Corpus.all_bugs);
@@ -311,8 +302,9 @@ let recursion =
           "ping/pong share a component" true
           (Array.exists (fun ms -> Array.length ms = 2) scc.Scc.members);
         (* A recursive cycle whose summaries keep growing is cut by
-           round caps that differ between the modes (5 whole-program
-           rounds vs 8 SCC-local rounds), so on synthetic recursion
+           round caps that differ between replay and the engine (5
+           whole-program rounds vs 8 SCC-local rounds), so on synthetic
+           recursion
            only the *distinct* findings are compared here. The
            corpus/mutant suites above and the lock-cycle case below
            pin the byte-level identity where both fixpoints
@@ -323,12 +315,12 @@ let recursion =
         in
         Alcotest.(check (list string))
           "distinct double-lock findings agree"
-          (distinct (fun () -> double_lock Summary.Replay p))
-          (distinct (fun () -> double_lock Summary.Summary p));
+          (distinct (fun () -> replay_double_lock p))
+          (distinct (fun () -> double_lock p));
         Alcotest.(check (list string))
           "distinct uaf findings agree"
-          (distinct (fun () -> uaf Summary.Replay p))
-          (distinct (fun () -> uaf Summary.Summary p)));
+          (distinct (fun () -> replay_uaf p))
+          (distinct (fun () -> uaf p)));
     case "a held guard across a call into a lock cycle reports once"
       (fun () ->
         (* every member of the a0..a3 cycle reaches the same
@@ -336,13 +328,13 @@ let recursion =
            set of (lock path, kind) entries, so the laps add nothing
            and the one interprocedural double lock is one line *)
         let p = Rustudy.load ~file:"ring.rs" ring_src in
-        let run mode = render (double_lock mode p) in
-        let s = run Summary.Summary in
+        let s = render (double_lock p) in
         Alcotest.(check int) "one finding line" 1
           (List.length (String.split_on_char '\n' s));
         Alcotest.(check bool) "reported in entry" true
           (String.starts_with ~prefix:"[double-lock] bug in `entry`" s);
-        Alcotest.(check string) "summary = replay" (run Summary.Replay) s);
+        Alcotest.(check string) "summary = replay"
+          (render (replay_double_lock p)) s);
   ]
 
 (* ---------------- large programs: once per context ---------------- *)
@@ -393,13 +385,11 @@ let large =
             let computed label =
               M.read_counter ~labels:[ label ] "rustudy_summary_computed_total"
             in
-            let mode = Summary.Summary in
             let clients =
               [
                 ( "double_lock",
-                  fun ctx -> ignore (Detectors.Double_lock.run_ctx ~mode ctx) );
-                ("uaf", fun ctx -> ignore (Detectors.Uaf.run_ctx ~mode ctx));
-                ("escape", fun ctx -> ignore (Summary.escape_summaries ctx));
+                  fun ctx -> ignore (Detectors.Double_lock.run_ctx ctx) );
+                ("uaf", fun ctx -> ignore (Detectors.Uaf.run_ctx ctx));
               ]
             in
             List.iter
@@ -416,18 +406,18 @@ let large =
     case "two fresh contexts on a large program agree with replay"
       (fun () ->
         let p = Rustudy.load ~file:"chain.rs" chain_src in
-        let findings mode =
+        let findings () =
           let ctx = Rustudy.Cache.create p in
           render
-            (Detectors.Double_lock.run_ctx ~mode ctx
-            @ Detectors.Uaf.run_ctx ~mode ctx)
+            (Detectors.Double_lock.run_ctx ctx @ Detectors.Uaf.run_ctx ctx)
         in
-        let first = findings Summary.Summary in
-        let second = findings Summary.Summary in
+        let first = findings () in
+        let second = findings () in
         Alcotest.(check bool) "reports both bugs" true
           (List.length (String.split_on_char '\n' first) = 2);
         Alcotest.(check string) "second context = first" first second;
-        Alcotest.(check string) "summary = replay" (findings Summary.Replay)
+        Alcotest.(check string) "summary = replay"
+          (render (replay_double_lock p @ replay_uaf p))
           first);
   ]
 
@@ -464,7 +454,7 @@ let metrics =
             let c0 = read "rustudy_summary_computed_total" "uaf" in
             let i0 = read "rustudy_summary_instantiated_total" "uaf" in
             let p = Rustudy.load ~file:"chain3.rs" chain3_src in
-            ignore (uaf Summary.Summary p);
+            ignore (uaf p);
             let c1 = read "rustudy_summary_computed_total" "uaf" in
             let i1 = read "rustudy_summary_instantiated_total" "uaf" in
             (* three bodies: three summary computations; [mid] and
@@ -473,95 +463,110 @@ let metrics =
             Alcotest.(check bool) "instantiated" true (i1 -. i0 >= 2.0)));
   ]
 
-(* ---------------- escape client ------------------------------------ *)
 
-let escape_src =
-  {|
-static mut STASH: u64 = 0;
-pub fn ident(x: u64) -> u64 {
-    x
-}
-pub unsafe fn leak(x: u64, y: u64) -> u64 {
-    STASH = x;
-    y
-}
-pub unsafe fn via(a: u64, b: u64) -> u64 {
-    let v = leak(a, b);
-    v
-}
-|}
+(* ---------------- tracing changes no work --------------------------- *)
 
-let escape =
+let compute_spans () =
+  List.fold_left
+    (fun acc (a : Support.Trace.agg) ->
+      if a.Support.Trace.agg_name = "summary.compute" then
+        acc + a.Support.Trace.agg_count
+      else acc)
+    0 (Support.Trace.aggregates ())
+
+(* One detector on a fresh context: its rendered findings, the
+   [rustudy_summary_computed_total] delta for its client label, and
+   the number of [summary.compute] spans it closed. *)
+let observe label run p =
+  let module M = Support.Metrics in
+  let computed () =
+    M.read_counter ~labels:[ label ] "rustudy_summary_computed_total"
+  in
+  let c0 = computed () and s0 = compute_spans () in
+  let out = render (run (Rustudy.Cache.create p)) in
+  (out, computed () -. c0, compute_spans () - s0)
+
+let tracing =
   [
-    case "escape summaries: returned and escaped params, transitively"
+    case "tracing changes no work: same findings, same recomputes, one span"
       (fun () ->
-        let p = Rustudy.load ~file:"escape.rs" escape_src in
-        let ctx = Rustudy.Cache.create p in
-        let tbl = Summary.escape_summaries ctx in
-        let get fn =
-          match Hashtbl.find_opt tbl fn with
-          | Some e -> e
-          | None -> Alcotest.failf "no escape summary for %s" fn
-        in
-        let mem i s = Analysis.Dataflow.IntSet.mem i s in
-        let id = get "ident" in
-        Alcotest.(check bool) "ident returns param 0" true
-          (mem 0 id.Summary.esc_returned);
-        Alcotest.(check bool) "ident escapes nothing" true
-          (Analysis.Dataflow.IntSet.is_empty id.Summary.esc_escaped);
-        let lk = get "leak" in
-        Alcotest.(check bool) "leak escapes param 0" true
-          (mem 0 lk.Summary.esc_escaped);
-        Alcotest.(check bool) "leak returns param 1" true
-          (mem 1 lk.Summary.esc_returned);
-        let v = get "via" in
-        Alcotest.(check bool) "via escapes param 0 through leak" true
-          (mem 0 v.Summary.esc_escaped));
+        let module M = Support.Metrics in
+        let module T = Support.Trace in
+        let was_m = M.enabled () and was_t = T.enabled () in
+        Fun.protect
+          ~finally:(fun () ->
+            if not was_m then M.disable ();
+            if was_t then T.enable () else T.disable ())
+          (fun () ->
+            M.enable ();
+            List.iter
+              (fun (file, src) ->
+                let p = Rustudy.load ~file src in
+                List.iter
+                  (fun (label, run) ->
+                    let name = file ^ " " ^ label in
+                    T.disable ();
+                    let off, c_off, _ = observe label run p in
+                    T.enable ();
+                    let on, c_on, spans = observe label run p in
+                    (* the chain carries one bug of each kind *)
+                    if file = "chain.rs" then
+                      Alcotest.(check bool) (name ^ ": reports") true
+                        (off <> "");
+                    Alcotest.(check string) (name ^ ": findings") off on;
+                    Alcotest.(check (float 0.01))
+                      (name ^ ": summaries computed") c_off c_on;
+                    Alcotest.(check int)
+                      (name ^ ": one summary.compute span") 1 spans)
+                  [
+                    ("uaf", fun ctx -> Detectors.Uaf.run_ctx ctx);
+                    ( "double_lock",
+                      fun ctx -> Detectors.Double_lock.run_ctx ctx );
+                  ])
+              [ ("chain.rs", chain_src); ("cyclic.rs", cyclic_src) ]));
   ]
 
-(* ---------------- parallel wave path ------------------------------- *)
+(* ---------------- the engine's deadline path ------------------------ *)
 
-let parallel =
+let deadline =
   [
-    case "domains:2 computes the same summary table" (fun () ->
-        let src = Buffer.create 1024 in
-        (* a small diamond: root calls eight leaves *)
-        for i = 0 to 7 do
-          Buffer.add_string src
-            (Printf.sprintf
-               "pub unsafe fn leaf%d(p: *const u8) -> u8 {\n    let x = *p;\n\
-               \    x\n}\n" i)
-        done;
-        Buffer.add_string src "pub unsafe fn root(p: *const u8) -> u8 {\n";
-        for i = 0 to 7 do
-          Buffer.add_string src (Printf.sprintf "    let v%d = leaf%d(p);\n" i i)
-        done;
-        Buffer.add_string src "    v0\n}\n";
-        let p = Rustudy.load ~file:"par.rs" (Buffer.contents src) in
-        let seq = render (uaf Summary.Summary p) in
+    case "an expired deadline stops the engine with a W0402, no exception"
+      (fun () ->
+        let p = Rustudy.load ~file:"chain.rs" chain_src in
+        let unbounded =
+          List.map Rustudy.Finding.to_string
+            (Detectors.Uaf.run_ctx (Rustudy.Cache.create p))
+        in
         let ctx = Rustudy.Cache.create p in
-        let tbl =
-          Summary.compute ~domains:2 ctx
-            {
-              Summary.name = "t_par";
-              equal = ( = );
-              compute =
-                (fun ~lookup (b : Rustudy.Mir.body) ->
-                  Array.length b.Rustudy.Mir.blocks
-                  + List.length
-                      (List.filter_map lookup
-                         [ "leaf0"; "leaf1"; "root" ]));
-            }
+        let bounded =
+          match
+            Support.Deadline.with_deadline_ms 0 (fun () ->
+                Detectors.Uaf.run_ctx ctx)
+          with
+          | fs -> List.map Rustudy.Finding.to_string fs
+          | exception e ->
+              Alcotest.failf "run_ctx raised %s" (Printexc.to_string e)
         in
-        Alcotest.(check int) "9 summaries" 9 (Hashtbl.length tbl);
-        (* findings through the parallel engine stay identical *)
-        let par =
-          render
-            (Detectors.Uaf.run_ctx ~mode:Summary.Summary
-               (Rustudy.Cache.create p))
+        let is_engine_w0402 (d : Support.Diag.t) =
+          d.Support.Diag.code = Support.Diag.Analysis_deadline
+          &&
+          let msg = d.Support.Diag.message in
+          let key = "interprocedural summary" in
+          let n = String.length key in
+          let rec has i =
+            i + n <= String.length msg
+            && (String.sub msg i n = key || has (i + 1))
+          in
+          has 0
         in
-        Alcotest.(check string) "sequential = fresh context" seq par);
+        Alcotest.(check bool) "W0402 names the interprocedural summary" true
+          (List.exists is_engine_w0402 (Rustudy.Cache.diags ctx));
+        List.iter
+          (fun f ->
+            if not (List.mem f unbounded) then
+              Alcotest.failf "finding not in the unbounded run: %s" f)
+          bounded);
   ]
 
 let suite =
-  scc_props @ differential @ recursion @ large @ metrics @ escape @ parallel
+  scc_props @ differential @ recursion @ large @ metrics @ tracing @ deadline
